@@ -1,25 +1,27 @@
-"""Engine speed benchmark — calendar queue versus the binary heap.
+"""Engine speed benchmark — the default engine versus the reference heap.
 
 Not a paper figure: records the before/after trajectory of the engine
-rewrite (heapq calendar -> bucketed calendar queue + tx-done elision +
-hot-path hoists, see `repro.sim.engine` and INTERNALS.md) and guards it
-against regression.  Two workloads:
+rewrites (seed heap of ``Event`` objects -> calendar queue + tx-done
+elision + hot-path hoists -> heap of ``(time, seq, fn, args)`` tuples,
+see `repro.sim.engine` and INTERNALS.md) and guards it against
+regression.  The ``calendar`` arm is whatever ``make_scheduler`` builds
+by default (the name is the ``REPRO_ENGINE`` value).  Two workloads:
 
 1. **raw event chain** — ``_CHAIN_ACTORS`` self-rescheduling no-op
-   timers drained for ``RAW_EVENTS`` events.  This is the steady-state
-   regime the calendar queue is designed for (a bounded band of pending
-   events marching forward in time — exactly how ports and transports
-   schedule), with no packet pipeline on top.  Pure scheduler cost.
+   timers drained for ``RAW_EVENTS`` events.  This is the simulator's
+   steady-state regime (a bounded band of pending events marching
+   forward in time — exactly how ports and transports schedule), with
+   no packet pipeline on top.  Pure scheduler cost.
 2. **fig07 incast (K=8)** — the paper's incast experiment (300 qps of
    40-degree partition/aggregate queries, Table 1/2 operating point) on
    the full K=8 fat-tree, 128 hosts, run end to end through
    ``run_scenario``.  This is the workload the ROADMAP names as the
    binding constraint; events/s here is the number that decides whether
    the suite runs figures at K=4 or K=8.  Paper scale matters for the
-   engine comparison: a heap pays O(log n) Python-level comparisons per
-   push/pop, so the K=4 cell (a few hundred pending events) understates
-   the gap the real pending-set size (thousands) produces, while the
-   calendar's bucket math is O(1) at either scale.
+   engine comparison: the reference heap pays O(log n) Python-level
+   ``Event.__lt__`` calls per push/pop, so the K=4 cell (a few hundred
+   pending events) understates the gap the real pending-set size
+   (thousands) produces; the default engine's comparisons run in C.
 
 Determinism is checked on the *scaled* K=4 fig07 cell (fast enough to
 run several times per invocation); ``--full`` extends the same

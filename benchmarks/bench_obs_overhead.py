@@ -7,9 +7,9 @@ measured (and, with ``--check``, enforced):
    an in-repo replica of the pre-observability loop (binary heap, same
    Event objects, no hook/settle support) on a no-op event calendar.
    The replica runs on `HeapScheduler` — the reference heap engine kept
-   in `repro.sim.engine_heap` — because the default engine no longer
-   carries a `_heap` at all (it is a calendar queue; see
-   `repro.sim.engine`).  Gate: slowdown <= 2%.  Since the calendar
+   in `repro.sim.engine_heap` — because it needs that engine's `Event`
+   objects (the default engine's heap holds plain tuples; see
+   `repro.sim.engine`).  Gate: slowdown <= 2%.  Since the default
    engine is *faster* than the heap replica, the gate now passes with
    margin; it remains in place to catch an obs feature re-introducing
    per-event cost.
@@ -124,11 +124,11 @@ def _noop():
 # ----------------------------------------------------------------------
 def _legacy_run(sched: HeapScheduler, until=None, max_events=None) -> int:
     """The run loop as it was before hooks/profiling/settling existed,
-    operating on a HeapScheduler's heap (the default engine is now a
-    calendar queue with no ``_heap``).  This is the in-repo baseline the
-    off-mode gate compares against — measured fresh on the same machine
-    and Python, so the comparison survives hardware changes where a
-    stored number would not."""
+    operating on a HeapScheduler's heap of ``Event`` objects (the
+    default engine's heap holds plain tuples).  This is the in-repo
+    baseline the off-mode gate compares against — measured fresh on the
+    same machine and Python, so the comparison survives hardware changes
+    where a stored number would not."""
     processed = 0
     heap = sched._heap
     watchdog = sched.watchdog

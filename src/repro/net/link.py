@@ -258,7 +258,7 @@ class Port:
         sched = self.scheduler
         te = self._tx_end
         now = sched.now
-        if now > te or (now == te and sched._now_seq > seq):
+        if now > te or (now == te and sched._now_seq >= seq):
             self._txdone_seq = -1
             self._busy = False
             sched._events_elided += 1
@@ -296,7 +296,7 @@ class Port:
             sched = self.scheduler
             te = self._tx_end
             now = sched.now
-            if now > te or (now == te and sched._now_seq > seqr):
+            if now > te or (now == te and sched._now_seq >= seqr):
                 self._txdone_seq = -1
                 self._busy = False
                 sched._events_elided += 1
@@ -378,7 +378,7 @@ class Port:
         self.paused = True
         self.pauses_received += 1
         if self._pause_expiry is not None:
-            self._pause_expiry.cancel()
+            self.scheduler.cancel(self._pause_expiry)
             self._pause_expiry = None
         if duration_s is not None:
             self._pause_expiry = self.scheduler.schedule_once(duration_s, self.resume)
@@ -386,7 +386,7 @@ class Port:
     def resume(self) -> None:
         """Resume transmission (PFC XON or PAUSE expiry)."""
         if self._pause_expiry is not None:
-            self._pause_expiry.cancel()
+            self.scheduler.cancel(self._pause_expiry)
             self._pause_expiry = None
         if not self.paused:
             return
@@ -520,9 +520,10 @@ class Port:
             self.bytes_sent -= undo
             self.busy_seconds -= remainder_s
         killed = 0
+        cancel = self.scheduler.cancel
         while self._in_flight:
             delivery, pkt = self._in_flight.popleft()
-            delivery.cancel()
+            cancel(delivery)
             self.drops_link_down += 1
             self.bytes_killed += pkt.size
             if pkt.span is not None:

@@ -56,7 +56,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.net.packet import DATA
-from repro.sim.rng import stable_hash
+from repro.sim.rng import stable_hash, stable_hash_from, stable_hash_state
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -159,6 +159,9 @@ class SpanRecorder:
         self.dropped = 0
         self.unfinished = 0
         self._threshold = int(sample_rate * _HASH_SPACE)
+        # on_send hashes (seed, SPAN_STREAM, flow, seq) per originated
+        # packet; the constant prefix is folded once here.
+        self._hash_state = stable_hash_state(seed, SPAN_STREAM)
         self._live: dict[int, PacketSpan] = {}
         self._next_idx = 0
         self._attached = False
@@ -200,7 +203,7 @@ class SpanRecorder:
         DATA transmissions by the pure (seed, flow, seq) hash."""
         if pkt.kind != DATA or pkt.span is not None:
             return
-        if stable_hash(self.seed, SPAN_STREAM, pkt.flow_id, pkt.seq) >= self._threshold:
+        if stable_hash_from(self._hash_state, pkt.flow_id, pkt.seq) >= self._threshold:
             return
         idx = self._next_idx
         self._next_idx = idx + 1

@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate (scheduler + deterministic RNG)."""
 
-from repro.sim.engine import Event, Scheduler, SimulationError
+from repro.sim.engine import Scheduler, SimulationError
 from repro.sim.rng import RngFactory, stable_hash
 
-__all__ = ["Event", "Scheduler", "SimulationError", "RngFactory", "stable_hash"]
+__all__ = ["Scheduler", "SimulationError", "RngFactory", "stable_hash"]

@@ -1,18 +1,14 @@
 """Discrete-event simulation engine.
 
-The engine is a calendar of timestamped events backed by a **calendar
-queue** (Brown 1988): a ring of time buckets plus an overflow band, sized
-so that in the simulator's steady state an insert is an O(1) append and a
-pop is an O(1) list index.  Everything else in the simulator (links,
-switches, transports, workload generators) schedules callbacks on a single
-:class:`Scheduler`.
+The engine is a binary heap of ``(time, seq, fn, args)`` tuples.
+Everything else in the simulator (links, switches, transports, workload
+generators) schedules callbacks on a single :class:`Scheduler`.
 
-Why a calendar queue beats the old binary heap here: event times cluster
-within a few RTTs of ``now`` (serialization times and propagation delays
-bound how far ahead anything schedules), which is exactly the regime where
-bucketed insertion wins — a heap pays O(log n) comparisons per push *and*
-per pop, and with a pure-Python ``Event.__lt__`` each comparison is a
-Python call.  The calendar does no comparisons at all on the fast path.
+Why a tuple heap: ``heapq`` compares tuples in C, and a ``(time, seq)``
+prefix that is unique per entry means a comparison never reaches ``fn``.
+A push or pop is O(log n), but every step of it runs in C, so it costs
+less than the handful of Python bytecodes a bucketed calendar spends on
+index maths, insertion and window upkeep for each event.
 
 Design notes
 ------------
@@ -20,57 +16,35 @@ Design notes
 * Events scheduled for the same timestamp fire in FIFO order of scheduling
   (a monotonically increasing sequence number breaks ties), which makes
   runs fully deterministic.  The total order is exactly ``(time, seq)`` —
-  identical to the heap implementation, so identical seeds produce
-  bit-identical results (``repro.sim.engine_heap`` keeps the heap engine
-  alive for A/A comparison; select it with ``REPRO_ENGINE=heap`` via
-  :func:`make_scheduler`).
-* Cancellation is O(1): the event is flagged and skipped when consumed.  A
-  live count of cancelled-but-not-yet-consumed events makes
-  :attr:`pending` O(1) too, so watchdogs and heartbeats can poll it every
-  few thousand events without an O(calendar) scan.
-* Observability hooks (:meth:`add_hook`, :attr:`profiler`) are structured
-  so that the *disabled* state costs nothing beyond the pre-existing loop:
-  the profiled run loop is a separate code path selected once per
-  :meth:`run`, never a per-event branch.
-* Settled fire-and-forget events (scheduled via :meth:`schedule_once`)
-  are recycled through a freelist, eliminating the dominant per-event
-  allocation on the link hot path.  Only events whose handle never
-  escapes the scheduler/port machinery are recycled, so a stale external
-  handle can never cancel a recycled (reused) event.
-
-Calendar layout
----------------
-``_buckets`` is a fixed ring of ``_NBUCKETS`` lists covering the window
-``[_wstart, _wstart + _NBUCKETS * _width)``.  An event at time ``t`` lands
-in bucket ``int((t - _wstart) * _inv_width)``; float subtraction, multiply
-and truncation are all monotone non-decreasing in ``t``, so bucket indices
-can never invert the time order.  Inserts into an already-being-consumed
-bucket (index <= ``_cur``) go through ``bisect.insort`` keyed on
-``(time, seq)`` — the current bucket is kept sorted, and because every new
-event satisfies ``(t, s) > (now, now_seq)`` the insertion point is always
-at or after the consumption cursor.  Later buckets take a plain append and
-are sorted once, when the consumer reaches them.  Events beyond the window
-go to ``_overflow``, a heap of ``(time, seq, event)`` tuples (tuple
-comparison stays in C).  When the ring drains, the window is rebuilt at
-the overflow head and the bucket width re-derived from the observed mean
-inter-event gap of the window just consumed (clamped to a 4x change per
-rollover), so the calendar adapts to the workload's event density without
-any configuration.
+  identical to the reference engine in ``repro.sim.engine_heap`` (kept as
+  an A/A oracle; select it with ``REPRO_ENGINE=heap`` via
+  :func:`make_scheduler`), so identical seeds produce bit-identical
+  results.
+* The heap entry is the handle.  :meth:`Scheduler.cancel` records the
+  entry's sequence number in a dead map and the run loop drops dead
+  entries as it pops them; cancelling an entry whose ``(time, seq)`` has
+  already been dispatched (or whose turn the clock has passed) is a
+  no-op.  A live count of dead entries still in the heap keeps
+  :attr:`pending` O(1).
+* Run-loop hooks (:meth:`add_hook`, the watchdog) share one countdown:
+  the loop compares its processed count against the next count at which
+  any hook, the ``max_events`` budget or a profiler sample is due, so the
+  per-event cost does not grow with the number of hooks.
+* Observability (:attr:`profiler`) costs nothing when off: the profiled
+  run loops are separate code paths selected once per :meth:`run`, never
+  a per-event branch.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import insort
 from heapq import heappop, heappush
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.profiler import SchedulerProfiler
 
 __all__ = [
-    "Event",
     "Scheduler",
     "SimulationError",
     "LivelockError",
@@ -79,41 +53,23 @@ __all__ = [
     "make_scheduler",
 ]
 
-# Upper bound on the pending-event calendar before a run is declared
-# runaway.  Five million entries is roughly half a gigabyte of Event
-# objects — far beyond anything a healthy scenario schedules (the biggest
-# full-scale sweeps stay under a few hundred thousand pending events), but
+# Upper bound on the pending-event heap before a run is declared runaway.
+# Five million entries is roughly half a gigabyte of event tuples — far
+# beyond anything a healthy scenario schedules (the biggest full-scale
+# sweeps stay under a few hundred thousand pending events), but
 # comfortably below the point where the OOM killer takes out the worker
 # process without leaving a diagnostic behind.
 DEFAULT_MAX_PENDING_EVENTS = 5_000_000
-
-# Calendar-queue geometry.  1024 buckets of adaptive width; anything past
-# the window parks in the overflow heap until a window rollover brings it
-# into the ring.  Power-of-two size is cosmetic (no masking is used — the
-# window does not wrap), what matters is that NBUCKETS * width comfortably
-# covers the few-RTT band where nearly all events land.
-_NBUCKETS = 1024
-_MIN_WIDTH = 1e-12
-_MAX_WIDTH = 1.0
-_INITIAL_WIDTH = 1e-6
-# Re-derive the width only from windows that consumed enough events for
-# the mean gap to be a signal, and aim for ~4 events per bucket.
-_WIDTH_MIN_SAMPLE = 64
-_WIDTH_EVENTS_PER_BUCKET = 4.0
-
-_ORDER = attrgetter("time", "seq")
-# Bisect key for *fresh* inserts: a freshly issued event holds the highest
-# sequence number in existence, so among equal times it belongs after every
-# resident entry — exactly where a right-bisect on time alone lands it,
-# without building a (time, seq) tuple per probe.  Only
-# ``schedule_reserved`` re-inserts an *old* sequence number and must bisect
-# on the full key.
-_TIME = attrgetter("time")
 
 # Run-loop sentinels: an unset horizon/budget becomes a value no event can
 # exceed, so the per-event bound checks are single comparisons.
 _INF = float("inf")
 _NO_LIMIT = 1 << 62
+
+# Popped dead entries stay in the dead map (so a second cancel through a
+# stale handle stays a no-op) until the clock passes them; the map is
+# pruned once it holds this many more entries than the heap has dead ones.
+_PRUNE_SLACK = 256
 
 
 class SimulationError(RuntimeError):
@@ -123,14 +79,14 @@ class SimulationError(RuntimeError):
 class ResourceError(SimulationError):
     """The simulation exceeded a resource budget (event-queue pressure).
 
-    Raised by :meth:`Scheduler.schedule_at` when the pending-event calendar
+    Raised by :meth:`Scheduler.schedule_at` when the pending-event heap
     grows past ``max_pending_events``.  A run that schedules events faster
     than it can consume them (a feedback loop amplifying packets, a
     workload generator stuck re-arming itself) would otherwise grow the
-    calendar until the kernel OOM-kills the worker — losing the traceback
-    and surfacing as an inscrutable crash.  Aborting deterministically
-    keeps the failure inside the run, where the experiment executor can
-    record it (and, with a journal attached, write a replay bundle).
+    heap until the kernel OOM-kills the worker — losing the traceback and
+    surfacing as an inscrutable crash.  Aborting deterministically keeps
+    the failure inside the run, where the experiment executor can record
+    it (and, with a journal attached, write a replay bundle).
     """
 
 
@@ -145,87 +101,48 @@ class LivelockError(SimulationError):
     """
 
 
-class Event:
-    """A scheduled callback.
-
-    Instances are returned by :meth:`Scheduler.schedule` /
-    :meth:`Scheduler.schedule_at` and can be cancelled via
-    :meth:`Scheduler.cancel` (or :meth:`Event.cancel`).
-
-    The ``cancelled`` flag doubles as a *settled* marker: the run loop sets
-    it when the event fires, so cancelling an event that already executed
-    is a no-op and the scheduler's live pending count stays exact.
-
-    ``recyclable`` marks events created by :meth:`Scheduler.schedule_once`
-    (fire-and-forget paths whose handle never escapes): once settled, the
-    run loop returns them to a freelist for reuse instead of allocating a
-    fresh object per event.
-    """
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "sched", "recyclable")
-
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple,
-                 sched: Optional["Scheduler"] = None):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.sched = sched
-        self.recyclable = False
-
-    def cancel(self) -> None:
-        """Mark this event so the scheduler skips it (no-op once settled)."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sched = self.sched
-        if sched is not None:
-            sched._cancelled_pending += 1
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "settled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.9f} seq={self.seq} {state} fn={getattr(self.fn, '__qualname__', self.fn)}>"
-
-
 class Scheduler:
-    """Single-threaded discrete-event scheduler (calendar-queue backed).
+    """Single-threaded discrete-event scheduler (tuple-heap backed).
 
     Usage::
 
         sched = Scheduler()
-        sched.schedule(1e-3, callback, arg1, arg2)
+        handle = sched.schedule(1e-3, callback, arg1, arg2)
+        sched.cancel(handle)  # optional
         sched.run(until=1.0)
     """
 
-    __slots__ = ("now", "_seq", "_now_seq", "_events_processed", "_events_elided",
-                 "_running", "watchdog", "watchdog_interval_events",
-                 "_cap", "profiler", "_hooks", "_cancelled_pending",
-                 "_buckets", "_cur", "_pos", "_wstart", "_width", "_inv_width",
-                 "_overflow", "_count", "_free", "_win_base")
+    __slots__ = ("now", "_heap", "_dead", "_ndead", "_prune_at", "_seq", "_seq_floor",
+                 "_now_seq", "_events_processed", "_events_elided", "_running",
+                 "watchdog", "watchdog_interval_events", "_cap", "profiler", "_hooks")
 
     def __init__(self, max_pending_events: Optional[int] = DEFAULT_MAX_PENDING_EVENTS) -> None:
         self.now: float = 0.0
+        # Pending entries, ``(time, seq, fn, args)``; the entry is the handle.
+        self._heap: list[tuple] = []
+        # Cancelled sequence numbers -> their event time.  Holds every
+        # cancelled entry still in the heap (``_ndead`` of them) plus
+        # popped ones not yet behind the clock (see cancel/_prune).
+        self._dead: dict[int, float] = {}
+        self._ndead: int = 0
+        self._prune_at: int = _PRUNE_SLACK
         self._seq: int = 0
+        # Sequence numbers below this were issued before the last reset:
+        # their handles are void.
+        self._seq_floor: int = 0
         # Sequence number of the most recently dispatched event: together
         # with ``now`` it pins the scheduler's position in the (time, seq)
-        # total order, which is what lets ports elide events whose turn
-        # has provably passed (see repro.net.link.Port._settle_tx).
+        # total order — everything at or before it has had its turn —
+        # which is what lets ports elide events whose turn has provably
+        # passed (see repro.net.link.Port._settle_tx) and makes cancelling
+        # a dispatched handle a no-op.
         self._now_seq: int = -1
         self._events_processed: int = 0
         # Events whose execution was elided as a no-op by the port layer
-        # but which the heap engine would have dispatched; counted so
+        # but which the reference engine would have dispatched; counted so
         # ``events_processed`` stays engine-independent.
         self._events_elided: int = 0
         self._running: bool = False
-        # Cancelled events still sitting in the calendar;
-        # pending = _count - this.
-        self._cancelled_pending: int = 0
         # Event-queue pressure guard: ``None`` (or 0) disables it.
         # Stored as the ``_cap`` sentinel (see max_pending_events property)
         # so the hot schedule paths test it with a single comparison.
@@ -240,172 +157,50 @@ class Scheduler:
         # Generic run-loop hooks (see add_hook): fired like the watchdog,
         # every ``interval`` processed events, from inside the loop.  Used
         # by the observability layer (heartbeats, occupancy sampling) so
-        # instrumentation never perturbs the event calendar itself.
+        # instrumentation never perturbs the event heap itself.
         self._hooks: list[tuple[Callable[["Scheduler"], None], int]] = []
         # Opt-in per-callback wall-time profiling (repro.obs.profiler).
         # ``None`` selects the plain run loop; the disabled state costs
         # nothing per event.
         self.profiler: Optional["SchedulerProfiler"] = None
-        # --- calendar-queue state (see module docstring) ---
-        self._buckets: list[list[Event]] = [[] for _ in range(_NBUCKETS)]
-        self._cur: int = 0          # bucket currently being consumed
-        self._pos: int = 0          # consumption cursor within that bucket
-        self._wstart: float = 0.0   # absolute time of bucket 0's left edge
-        self._width: float = _INITIAL_WIDTH
-        self._inv_width: float = 1.0 / _INITIAL_WIDTH
-        self._overflow: list[tuple[float, int, Event]] = []
-        # Live entries anywhere in the calendar (ring past the cursor plus
-        # overflow), including cancelled-but-not-consumed ones.
-        self._count: int = 0
-        self._free: list[Event] = []      # settled recyclable events
-        self._win_base: int = 0           # _events_processed at window start
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def _insert(self, ev: Event) -> None:
-        """Place ``ev`` into the calendar.  The caller has validated the
-        time and bumped ``_count``/``_seq``."""
-        idx = int((ev.time - self._wstart) * self._inv_width)
-        if idx < _NBUCKETS:
-            cur = self._cur
-            if idx <= cur:
-                # The target bucket is (or is behind) the one being
-                # consumed; clamp into the current bucket, whose live
-                # suffix is kept sorted.  Any event landing here satisfies
-                # (time, seq) > (now, now_seq), so the insertion point is
-                # at or after the consumption cursor; bisecting from
-                # ``lo=self._pos`` also keeps recycled settled entries in
-                # the consumed prefix out of the comparison.
-                insort(self._buckets[cur], ev, key=_ORDER, lo=self._pos)
-            else:
-                self._buckets[idx].append(ev)
-        else:
-            heappush(self._overflow, (ev.time, ev.seq, ev))
-
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
+    # The entry points below repeat the same few lines rather than
+    # delegating: they are the hottest calls in the simulator and each
+    # intermediate Python call costs a measurable fraction of an event.
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> tuple:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        # The insert logic is inlined here (and in schedule_at /
-        # schedule_once) rather than delegating through _insert: this is
-        # the hottest entry point in the simulator and each intermediate
-        # Python call costs a measurable fraction of the event budget.
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         time = self.now + delay
-        count = self._count + 1
-        if count > self._cap:
+        heap = self._heap
+        if len(heap) >= self._cap:
             self._overpressure(fn, time)
-        self._count = count
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-            ev.recyclable = False
-        else:
-            ev = Event(time, seq, fn, args, self)
-        idx = int((time - self._wstart) * self._inv_width)
-        if idx < _NBUCKETS:
-            cur = self._cur
-            if idx > cur:
-                self._buckets[idx].append(ev)
-            else:
-                # Bisect only the live suffix: entries before the
-                # consumption cursor are settled and may be recycled
-                # Event objects whose (time, seq) now belong to a later
-                # incarnation — their keys must never be compared.
-                insort(self._buckets[cur], ev, key=_TIME, lo=self._pos)
-        else:
-            heappush(self._overflow, (time, seq, ev))
-        return ev
+        entry = (time, seq, fn, args)
+        heappush(heap, entry)
+        return entry
 
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
+    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> tuple:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
         if time < self.now:
             raise SimulationError(f"cannot schedule into the past: {time} < {self.now}")
-        count = self._count + 1
-        if count > self._cap:
+        heap = self._heap
+        if len(heap) >= self._cap:
             self._overpressure(fn, time)
-        self._count = count
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-            ev.recyclable = False
-        else:
-            ev = Event(time, seq, fn, args, self)
-        idx = int((time - self._wstart) * self._inv_width)
-        if idx < _NBUCKETS:
-            cur = self._cur
-            if idx > cur:
-                self._buckets[idx].append(ev)
-            else:
-                # Bisect only the live suffix: entries before the
-                # consumption cursor are settled and may be recycled
-                # Event objects whose (time, seq) now belong to a later
-                # incarnation — their keys must never be compared.
-                insort(self._buckets[cur], ev, key=_TIME, lo=self._pos)
-        else:
-            heappush(self._overflow, (time, seq, ev))
-        return ev
+        entry = (time, seq, fn, args)
+        heappush(heap, entry)
+        return entry
 
-    def schedule_once(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Like :meth:`schedule`, but the returned handle must not outlive
-        the port/scheduler machinery that created it: once the event
-        settles (fires or is consumed cancelled) the object is recycled
-        for a future schedule.  Callers that keep the handle only until
-        they cancel it (and drop it at settle time) qualify; anything
-        that might cancel *after* the event fired must use
-        :meth:`schedule` instead, or a recycled (reused) event could be
-        killed through the stale handle."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        time = self.now + delay
-        count = self._count + 1
-        if count > self._cap:
-            self._overpressure(fn, time)
-        self._count = count
-        seq = self._seq
-        self._seq = seq + 1
-        free = self._free
-        if free:
-            # The freelist only ever holds recyclable events (the run
-            # loops recycle nothing else), so ``recyclable`` is already
-            # True on the popped object.
-            ev = free.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-        else:
-            ev = Event(time, seq, fn, args, self)
-            ev.recyclable = True
-        idx = int((time - self._wstart) * self._inv_width)
-        if idx < _NBUCKETS:
-            cur = self._cur
-            if idx > cur:
-                self._buckets[idx].append(ev)
-            else:
-                # Bisect only the live suffix: entries before the
-                # consumption cursor are settled and may be recycled
-                # Event objects whose (time, seq) now belong to a later
-                # incarnation — their keys must never be compared.
-                insort(self._buckets[cur], ev, key=_TIME, lo=self._pos)
-        else:
-            heappush(self._overflow, (time, seq, ev))
-        return ev
+    # Fire-and-forget callers (link transmit and delivery events) use this
+    # name.  It is the same function, kept so that tools wrapping each
+    # scheduling entry point by name keep seeing those inserts.
+    schedule_once = schedule
 
     def _overpressure(self, fn: Callable[..., Any], time: float) -> None:
         raise ResourceError(
@@ -421,7 +216,7 @@ class Scheduler:
         This is the elision primitive: a caller that knows an event would
         be a no-op (see ``Port._tx_next``) reserves its place in the
         ``(time, seq)`` total order so every later event keeps the exact
-        sequence number it would have had under the heap engine, then
+        sequence number it would have had under the reference engine, then
         either settles the reservation once its turn has passed or
         materializes it via :meth:`schedule_reserved`.
         """
@@ -430,42 +225,45 @@ class Scheduler:
         return seq
 
     def schedule_reserved(self, time: float, seq: int, fn: Callable[..., Any],
-                          *args: Any) -> Event:
+                          *args: Any) -> tuple:
         """Materialize a previously :meth:`reserve_seq`-ed event at its
         original ``(time, seq)`` position.  Used when the condition that
         justified eliding the event stops holding (e.g. a packet arrives
         behind an in-progress transmission)."""
         if time < self.now:
             raise SimulationError(f"cannot schedule into the past: {time} < {self.now}")
-        self._count += 1
-        free = self._free
-        if free:
-            ev = free.pop()  # freelist events are recyclable already
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-        else:
-            ev = Event(time, seq, fn, args, self)
-            ev.recyclable = True
-        idx = int((time - self._wstart) * self._inv_width)
-        if idx < _NBUCKETS:
-            cur = self._cur
-            if idx > cur:
-                self._buckets[idx].append(ev)
-            else:
-                # Bisect only the live suffix (see schedule).
-                insort(self._buckets[cur], ev, key=_ORDER, lo=self._pos)
-        else:
-            heappush(self._overflow, (time, seq, ev))
-        return ev
+        entry = (time, seq, fn, args)
+        heappush(self._heap, entry)
+        return entry
 
-    @staticmethod
-    def cancel(event: Optional[Event]) -> None:
-        """Cancel a previously scheduled event (no-op on ``None``)."""
-        if event is not None:
-            event.cancel()
+    def cancel(self, handle: Optional[tuple]) -> None:
+        """Cancel a scheduled event by its handle (no-op on ``None``, on a
+        handle already cancelled, and on one whose turn has passed)."""
+        if handle is None:
+            return
+        time = handle[0]
+        seq = handle[1]
+        dead = self._dead
+        if seq in dead or seq < self._seq_floor:
+            return
+        now = self.now
+        if time < now or (time == now and seq <= self._now_seq):
+            return  # dispatched already (or discarded behind the clock)
+        dead[seq] = time
+        self._ndead += 1
+        if len(dead) >= self._prune_at:
+            self._prune()
+
+    def _prune(self) -> None:
+        """Forget popped dead entries the clock has passed: the position
+        check in :meth:`cancel` covers them.  Mutates the map in place —
+        a running loop holds it in a local."""
+        dead = self._dead
+        now = self.now
+        now_seq = self._now_seq
+        for seq in [s for s, t in dead.items() if t < now or (t == now and s <= now_seq)]:
+            del dead[seq]
+        self._prune_at = 2 * len(dead) + _PRUNE_SLACK
 
     # ------------------------------------------------------------------
     # run-loop hooks
@@ -475,7 +273,7 @@ class Scheduler:
         processed events.
 
         Unlike a scheduled event, a hook fires on *event-count* cadence, so
-        it never perturbs the event calendar (identical seeds stay
+        it never perturbs the event heap (identical seeds stay
         bit-identical with hooks installed) and it keeps firing even when
         simulated time is stuck — the property the livelock watchdog relies
         on.  Returns an opaque handle for :meth:`remove_hook`.
@@ -494,99 +292,40 @@ class Scheduler:
             pass
 
     def _hook_states(self) -> list[list]:
-        """Per-run mutable countdown state: ``[countdown, interval, fn]``.
+        """Per-run hook state ``[due, interval, fn]``, in registration
+        order; ``due`` counts processed events from the start of the run.
 
-        The legacy ``watchdog`` attribute participates as the first hook so
-        both mechanisms share one per-event branch.
+        The legacy ``watchdog`` attribute participates as the first hook;
+        an interval below one fires it after every event.
         """
         states = []
         if self.watchdog is not None:
-            states.append([self.watchdog_interval_events,
-                           self.watchdog_interval_events, self.watchdog])
+            interval = max(1, self.watchdog_interval_events)
+            states.append([interval, interval, self.watchdog])
         for fn, interval in self._hooks:
             states.append([interval, interval, fn])
         return states
 
-    # ------------------------------------------------------------------
-    # calendar maintenance
-    # ------------------------------------------------------------------
-    def _advance(self) -> Optional[Event]:
-        """Move past the exhausted current bucket and return the head
-        event of the next non-empty one (``None`` when the calendar is
-        drained).  Leaves ``_cur``/``_pos`` pointing at the returned
-        event.  The caller must have flushed its local consumption
-        cursor into ``_pos`` and its event-count delta into
-        ``_events_processed`` (the width adaptation reads it)."""
-        buckets = self._buckets
-        buckets[self._cur].clear()
-        count = self._count
-        overflow = self._overflow
-        if count == len(overflow):
-            # Ring is empty: everything live sits in the overflow band.
-            if not overflow:
-                self._pos = 0
-                return None
-            self._new_window()
-        else:
-            cur = self._cur + 1
-            while not buckets[cur]:
-                cur += 1
-            self._cur = cur
-        bucket = buckets[self._cur]
-        if len(bucket) > 1:
-            bucket.sort(key=_ORDER)
-        self._pos = 0
-        return bucket[0]
-
-    def _new_window(self) -> None:
-        """Rebuild the bucket window at the overflow head and refill the
-        ring from the overflow band.
-
-        The new width targets ``_WIDTH_EVENTS_PER_BUCKET`` events per
-        bucket based on the mean inter-event gap observed over the window
-        just consumed; the change is damped to a factor of four per
-        rollover and clamped to global bounds, so one odd window cannot
-        destroy the calendar's geometry.  Everything here is a pure
-        function of the event stream, so runs stay deterministic.
-        """
-        consumed = self._events_processed - self._win_base
-        if consumed >= _WIDTH_MIN_SAMPLE:
-            span = self.now - self._wstart
-            if span > 0.0:
-                width = self._width
-                est = (span / consumed) * _WIDTH_EVENTS_PER_BUCKET
-                hi = width * 4.0
-                lo = width * 0.25
-                if est > hi:
-                    est = hi
-                elif est < lo:
-                    est = lo
-                if est < _MIN_WIDTH:
-                    est = _MIN_WIDTH
-                elif est > _MAX_WIDTH:
-                    est = _MAX_WIDTH
-                self._width = est
-                self._inv_width = 1.0 / est
-        self._win_base = self._events_processed
-        overflow = self._overflow
-        wstart = self._wstart = overflow[0][0]
-        self._cur = 0
-        buckets = self._buckets
-        inv_width = self._inv_width
-        pop = heappop
-        # heappop yields ascending (time, seq), so each bucket receives
-        # its refill already sorted — the later bucket.sort() is O(n).
-        while overflow:
-            idx = int((overflow[0][0] - wstart) * inv_width)
-            if idx >= _NBUCKETS:
-                break
-            buckets[idx].append(pop(overflow)[2])
+    def _fire_hooks(self, hooks: list[list], processed: int) -> int:
+        """Fire, in registration order, every hook due at ``processed``
+        events into the run, and return the next count at which any hook
+        is due.  This is the merged countdown's slow path: the run loops
+        call it only when ``processed`` reaches that count, so hooks fire
+        at exactly the counts a per-hook countdown would give."""
+        due = _NO_LIMIT
+        for state in hooks:
+            if state[0] <= processed:
+                state[0] = processed + state[1]
+                state[2](self)
+            if state[0] < due:
+                due = state[0]
+        return due
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the calendar drains, ``until`` is passed, or
+        """Run events until the heap drains, ``until`` is passed, or
         ``max_events`` have been processed.  Returns events processed.
         """
         if self._running:
@@ -604,108 +343,54 @@ class Scheduler:
         if max_events is None or processed < max_events:
             # The loop stopped because it drained or passed the horizon:
             # every event ordered at or before (now, any seq) has been
-            # dispatched, so the order position advances past all sequence
-            # numbers issued so far.  Elided reservations at exactly
-            # ``until`` rely on this (see Port._settle_tx).
-            self._now_seq = self._seq
+            # dispatched, so the order position advances to the last
+            # sequence number issued so far.  Elided reservations at
+            # exactly ``until`` rely on this (see Port._settle_tx); a
+            # handle issued later still sorts after the position.
+            self._now_seq = self._seq - 1
             if until is not None and self.now < until:
                 # Advance the clock to the requested horizon even if dry.
                 self.now = until
         return processed
 
     def _run_plain(self, until: Optional[float], max_events: Optional[int]) -> int:
-        processed = 0
-        hooks = self._hook_states()
-        # The overwhelmingly common cases — no hooks, or exactly one (the
-        # livelock watchdog) — get a local-countdown fast path; only
-        # multi-hook runs pay the per-event list walk.
-        if len(hooks) == 1:
-            hcd, hint, hfn = hooks[0]
-            hooks = None
-        else:
-            hfn = None
-            hcd = hint = 0
+        heap = self._heap
+        dead = self._dead
+        pop = heappop
         # Sentinels turn the per-event "is a bound set?" double checks
         # into single comparisons.
         horizon = _INF if until is None else until
         limit = _NO_LIMIT if max_events is None else max_events
-        # The consumption cursor and ``events_processed`` are kept in
-        # locals and flushed at the slow path, before hook calls and on
-        # exit — so hooks and re-entrant scheduling observe exact state
-        # while the per-event cost stays a couple of local updates.
+        hooks = self._hook_states()
+        due = self._fire_hooks(hooks, 0)  # fires nothing (every due count is >= 1)
+        # ``stop`` is the next processed count that needs the slow path
+        # (a hook or the event budget), so the per-event check is one
+        # integer comparison however many hooks are installed.
+        stop = due if due < limit else limit
+        processed = 0
         base = self._events_processed
-        bucket = self._buckets[self._cur]
-        pos = self._pos
-        free_append = self._free.append
-        # Horizon checks are hoisted to bucket granularity: a bucket whose
-        # window-derived upper bound (with one spare bucket of slack for
-        # float fuzz in the index map) lies at or before the horizon cannot
-        # contain an event past it.
-        check_h = self._wstart + (self._cur + 2) * self._width > horizon
-        running = True
         try:
-            while running:
-                # ``end`` is a cached lower bound on the bucket length:
-                # callbacks can only *grow* the bucket, and only at or
-                # after the cursor (insorts bisect from ``lo=_pos``), so
-                # entries up to a stale ``end`` are always valid to
-                # consume in order.  The outer loop re-reads the real
-                # length, picking up any growth.  This turns the
-                # per-event bound check into a local integer compare.
-                end = len(bucket)
-                if pos >= end:
-                    self._pos = pos
-                    self._events_processed = base + processed
-                    ev = self._advance()
-                    if ev is None:
-                        break
-                    bucket = self._buckets[self._cur]
-                    pos = 0
-                    check_h = self._wstart + (self._cur + 2) * self._width > horizon
+            while heap:
+                entry = pop(heap)
+                time, seq, fn, args = entry
+                if time > horizon:
+                    heappush(heap, entry)
+                    break
+                if seq in dead:
+                    self._ndead -= 1
                     continue
-                while pos < end:
-                    ev = bucket[pos]
-                    if check_h and ev.time > horizon:
-                        running = False
-                        break
-                    pos += 1
-                    self._count -= 1
-                    if ev.cancelled:
-                        self._cancelled_pending -= 1
-                        if ev.recyclable:
-                            free_append(ev)
-                        continue
-                    # Settle the event (see Event.cancel) before dispatch
-                    # so a callback cancelling its own handle is a no-op.
-                    ev.cancelled = True
-                    self.now = ev.time
-                    self._now_seq = ev.seq
-                    # The cursor must be exact during the callback: an
-                    # insert into the current bucket bisects from it
-                    # (see schedule).
-                    self._pos = pos
-                    ev.fn(*ev.args)
-                    processed += 1
-                    if ev.recyclable:
-                        free_append(ev)
-                    if hfn is not None:
-                        hcd -= 1
-                        if hcd <= 0:
-                            hcd = hint
-                            self._events_processed = base + processed
-                            hfn(self)
-                    elif hooks:
-                        for state in hooks:
-                            state[0] -= 1
-                            if state[0] <= 0:
-                                state[0] = state[1]
-                                self._events_processed = base + processed
-                                state[2](self)
+                self.now = time
+                self._now_seq = seq
+                fn(*args)
+                processed += 1
+                if processed >= stop:
+                    if processed >= due:
+                        self._events_processed = base + processed
+                        due = self._fire_hooks(hooks, processed)
                     if processed >= limit:
-                        running = False
                         break
+                    stop = due if due < limit else limit
         finally:
-            self._pos = pos
             self._events_processed = base + processed
         return processed
 
@@ -722,16 +407,10 @@ class Scheduler:
         charge); the per-category split is statistical.  Window lengths
         are jittered by a deterministic LCG so a periodic event pattern
         (links alternating tx/deliver) cannot alias with the sampling
-        grid and skew the split.  Per-event cost is a local countdown
-        decrement — this is what keeps profiled mode inside its 5%
-        budget on microsecond-scale events.  Hook/watchdog time is
-        excluded by advancing the window start past it.
-
-        Profiled loops skip freelist recycling: the leftover flush needs
-        the last executed event intact, and profiling is opt-in so the
-        allocation cost is acceptable.  Recycling affects only object
-        identity, never behaviour, so profiled and plain runs stay
-        bit-identical.
+        grid and skew the split.  A window's end joins the merged
+        countdown, so the per-event cost is the plain loop's single
+        comparison.  Hook/watchdog time is excluded by advancing the
+        window start past it.
         """
         from time import perf_counter
 
@@ -740,74 +419,66 @@ class Scheduler:
         slot_for = profiler._slot_for
         stride = profiler.sample_stride
         rng = 0x2545F491  # fixed seed: profiles are deterministic across runs
-        processed = 0
+        heap = self._heap
+        dead = self._dead
+        pop = heappop
+        horizon = _INF if until is None else until
+        limit = _NO_LIMIT if max_events is None else max_events
         hooks = self._hook_states()
+        due = self._fire_hooks(hooks, 0)
+        opened = 0  # processed count at which the current window opened
+        closes = stride
+        stop = min(due, limit, closes)
+        processed = 0
         base = self._events_processed
-        bucket = self._buckets[self._cur]
-        pos = self._pos
-        done_ev = None  # last *executed* event, for the leftover flush
-        window = countdown = stride
+        done_fn = None  # last *executed* callback, for the leftover flush
         last = perf_counter()
         try:
-            while True:
-                if pos < len(bucket):
-                    ev = bucket[pos]
-                else:
-                    self._pos = pos
-                    self._events_processed = base + processed
-                    ev = self._advance()
-                    if ev is None:
-                        break
-                    bucket = self._buckets[self._cur]
-                    pos = 0
-                if until is not None and ev.time > until:
+            while heap:
+                entry = pop(heap)
+                time, seq, fn, args = entry
+                if time > horizon:
+                    heappush(heap, entry)
                     break
-                pos += 1
-                self._count -= 1
-                if ev.cancelled:
-                    self._cancelled_pending -= 1
+                if seq in dead:
+                    self._ndead -= 1
                     continue
-                ev.cancelled = True
-                self.now = ev.time
-                self._now_seq = ev.seq
-                self._pos = pos
-                ev.fn(*ev.args)
+                self.now = time
+                self._now_seq = seq
+                fn(*args)
                 processed += 1
-                done_ev = ev
-                countdown -= 1
-                if countdown <= 0:
-                    now_wall = perf_counter()
-                    fn = ev.fn
-                    key = getattr(fn, "__func__", fn)
-                    slot = slot_of(key)
-                    if slot is None:
-                        slot = slot_for(key, fn)
-                    slot[0] += window
-                    slot[1] += now_wall - last
-                    last = now_wall
-                    rng = (rng * 1103515245 + 12345) & 0xFFFFFFFF
-                    window = countdown = stride + (rng >> 16) % stride
-                if hooks:
-                    for state in hooks:
-                        state[0] -= 1
-                        if state[0] <= 0:
-                            state[0] = state[1]
-                            self._events_processed = base + processed
-                            hook_started = perf_counter()
-                            state[2](self)
-                            last += perf_counter() - hook_started
-                if max_events is not None and processed >= max_events:
-                    break
+                done_fn = fn
+                if processed >= stop:
+                    if processed >= closes:
+                        now_wall = perf_counter()
+                        key = getattr(fn, "__func__", fn)
+                        slot = slot_of(key)
+                        if slot is None:
+                            slot = slot_for(key, fn)
+                        slot[0] += processed - opened
+                        slot[1] += now_wall - last
+                        last = now_wall
+                        rng = (rng * 1103515245 + 12345) & 0xFFFFFFFF
+                        opened = processed
+                        closes = processed + stride + (rng >> 16) % stride
+                    if processed >= due:
+                        self._events_processed = base + processed
+                        hook_started = perf_counter()
+                        due = self._fire_hooks(hooks, processed)
+                        last += perf_counter() - hook_started
+                    if processed >= limit:
+                        break
+                    stop = due if due < limit else limit
+                    if closes < stop:
+                        stop = closes
         finally:
-            self._pos = pos
             self._events_processed = base + processed
-            leftover = window - countdown
-            if leftover > 0 and done_ev is not None:
-                fn = done_ev.fn
-                key = getattr(fn, "__func__", fn)
+            leftover = processed - opened
+            if leftover > 0:
+                key = getattr(done_fn, "__func__", done_fn)
                 slot = slot_of(key)
                 if slot is None:
-                    slot = slot_for(key, fn)
+                    slot = slot_for(key, done_fn)
                 slot[0] += leftover
                 slot[1] += perf_counter() - last
         return processed
@@ -820,10 +491,10 @@ class Scheduler:
         is attributed per callback *category*; one clock read per event —
         each event is charged from the previous event's end, so dispatch
         overhead lands in the category of the event that incurred it.
-        Hook time is excluded by resetting the window start after a hook
-        actually fires — only then, so the wall time between ordinary
-        events keeps accumulating into their categories and the category
-        totals sum to the loop's wall time.
+        Hook time is excluded by resetting the window start after hooks
+        fire — only then, so the wall time between ordinary events keeps
+        accumulating into their categories and the category totals sum to
+        the loop's wall time.
 
         The attribution is inlined rather than calling
         ``profiler.record`` — at sub-microsecond event granularity the
@@ -838,37 +509,30 @@ class Scheduler:
         profiler = self.profiler
         slot_of = profiler._by_fn.get
         slot_for = profiler._slot_for
-        processed = 0
+        heap = self._heap
+        dead = self._dead
+        pop = heappop
+        horizon = _INF if until is None else until
+        limit = _NO_LIMIT if max_events is None else max_events
         hooks = self._hook_states()
+        due = self._fire_hooks(hooks, 0)
+        stop = due if due < limit else limit
+        processed = 0
         base = self._events_processed
-        bucket = self._buckets[self._cur]
-        pos = self._pos
         last = perf_counter()
         try:
-            while True:
-                if pos < len(bucket):
-                    ev = bucket[pos]
-                else:
-                    self._pos = pos
-                    self._events_processed = base + processed
-                    ev = self._advance()
-                    if ev is None:
-                        break
-                    bucket = self._buckets[self._cur]
-                    pos = 0
-                if until is not None and ev.time > until:
+            while heap:
+                entry = pop(heap)
+                time, seq, fn, args = entry
+                if time > horizon:
+                    heappush(heap, entry)
                     break
-                pos += 1
-                self._count -= 1
-                if ev.cancelled:
-                    self._cancelled_pending -= 1
+                if seq in dead:
+                    self._ndead -= 1
                     continue
-                ev.cancelled = True
-                self.now = ev.time
-                self._now_seq = ev.seq
-                self._pos = pos
-                fn = ev.fn
-                fn(*ev.args)
+                self.now = time
+                self._now_seq = seq
+                fn(*args)
                 now_wall = perf_counter()
                 key = getattr(fn, "__func__", fn)
                 slot = slot_of(key)
@@ -878,76 +542,44 @@ class Scheduler:
                 slot[1] += now_wall - last
                 last = now_wall
                 processed += 1
-                if hooks:
-                    fired = False
-                    for state in hooks:
-                        state[0] -= 1
-                        if state[0] <= 0:
-                            state[0] = state[1]
-                            self._events_processed = base + processed
-                            state[2](self)
-                            fired = True
-                    if fired:
+                if processed >= stop:
+                    if processed >= due:
+                        self._events_processed = base + processed
+                        due = self._fire_hooks(hooks, processed)
                         # Do not charge hook time to the next event.
                         last = perf_counter()
-                if max_events is not None and processed >= max_events:
-                    break
+                    if processed >= limit:
+                        break
+                    stop = due if due < limit else limit
         finally:
-            self._pos = pos
             self._events_processed = base + processed
         return processed
 
     def step(self) -> bool:
         """Process a single event.  Returns ``False`` when idle."""
-        free_append = self._free.append
-        while True:
-            bucket = self._buckets[self._cur]
-            pos = self._pos
-            if pos < len(bucket):
-                ev = bucket[pos]
-            else:
-                ev = self._advance()
-                if ev is None:
-                    return False
-                bucket = self._buckets[self._cur]
-                pos = 0
-            self._pos = pos + 1
-            self._count -= 1
-            if ev.cancelled:
-                self._cancelled_pending -= 1
-                if ev.recyclable:
-                    free_append(ev)
+        heap = self._heap
+        dead = self._dead
+        while heap:
+            time, seq, fn, args = heappop(heap)
+            if seq in dead:
+                self._ndead -= 1
                 continue
-            ev.cancelled = True
-            self.now = ev.time
-            self._now_seq = ev.seq
-            ev.fn(*ev.args)
+            self.now = time
+            self._now_seq = seq
+            fn(*args)
             self._events_processed += 1
-            if ev.recyclable:
-                free_append(ev)
             return True
+        return False
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or ``None`` if idle."""
-        free_append = self._free.append
-        while True:
-            bucket = self._buckets[self._cur]
-            pos = self._pos
-            if pos < len(bucket):
-                ev = bucket[pos]
-            else:
-                ev = self._advance()
-                if ev is None:
-                    return None
-                pos = 0
-            if not ev.cancelled:
-                return ev.time
-            # Consume cancelled events in passing, as the heap version did.
-            self._pos = pos + 1
-            self._count -= 1
-            self._cancelled_pending -= 1
-            if ev.recyclable:
-                free_append(ev)
+        heap = self._heap
+        dead = self._dead
+        # Consume dead entries in passing, as the reference engine does.
+        while heap and heap[0][1] in dead:
+            heappop(heap)
+            self._ndead -= 1
+        return heap[0][0] if heap else None
 
     @property
     def max_pending_events(self) -> Optional[int]:
@@ -969,52 +601,45 @@ class Scheduler:
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued.
 
-        O(1): cancellation keeps a live count instead of the calendar
-        being rescanned per call, so pollers (watchdog, heartbeat, guards)
-        can read this every few thousand events for free.
+        O(1): the dead entries still in the heap are counted as they are
+        cancelled and popped, so pollers (watchdog, heartbeat, guards) can
+        read this every few thousand events for free.
         """
-        return self._count - self._cancelled_pending
+        return len(self._heap) - self._ndead
 
     @property
     def events_processed(self) -> int:
         """Total events executed over the scheduler's lifetime, including
         events whose dispatch was elided as a provable no-op (the count a
-        heap engine dispatching every event would report)."""
+        reference engine dispatching every event would report)."""
         return self._events_processed + self._events_elided
 
     def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero."""
-        # Settle discarded events so a stale handle cancelled after the
-        # reset cannot skew the fresh _cancelled_pending count.
-        for bucket in self._buckets:
-            for ev in bucket:
-                ev.cancelled = True
-            bucket.clear()
-        for _t, _s, ev in self._overflow:
-            ev.cancelled = True
-        self._overflow.clear()
-        self._free.clear()
+        """Drop all pending events and rewind the clock to zero.
+
+        The sequence counter keeps counting, so a handle issued before the
+        reset can never alias one issued after it: cancelling it is a
+        no-op.
+        """
+        self._heap.clear()
+        self._dead.clear()
+        self._ndead = 0
+        self._prune_at = _PRUNE_SLACK
+        self._seq_floor = self._seq
         self.now = 0.0
-        self._seq = 0
         self._now_seq = -1
         self._events_processed = 0
         self._events_elided = 0
-        self._cancelled_pending = 0
-        self._count = 0
-        self._cur = 0
-        self._pos = 0
-        self._wstart = 0.0
-        self._width = _INITIAL_WIDTH
-        self._inv_width = 1.0 / _INITIAL_WIDTH
-        self._win_base = 0
 
 
 def make_scheduler(max_pending_events: Optional[int] = DEFAULT_MAX_PENDING_EVENTS,
                    engine: Optional[str] = None):
     """Build a scheduler, selecting the engine implementation.
 
-    ``engine`` is ``"calendar"`` (default) or ``"heap"``; when ``None``
-    the ``REPRO_ENGINE`` environment variable decides.  The choice is an
+    ``engine`` is ``"calendar"`` (the default :class:`Scheduler`; the name
+    predates the tuple heap and is kept so existing invocations keep
+    working) or ``"heap"`` (the reference engine); when ``None`` the
+    ``REPRO_ENGINE`` environment variable decides.  The choice is an
     environment knob rather than a :class:`~repro.experiments.scenarios.Scenario`
     field on purpose: both engines produce bit-identical results, so the
     engine is not part of a scenario's identity — putting it in the

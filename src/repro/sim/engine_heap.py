@@ -1,21 +1,22 @@
 """Reference binary-heap discrete-event engine.
 
-This is the original ``heapq``-backed scheduler, kept alive after the
-calendar-queue rewrite of :mod:`repro.sim.engine` as the *reference
-implementation*: both engines realise the exact same ``(time, seq)``
-total order, so any fixed-seed experiment must produce bit-identical
-results on either.  ``benchmarks/bench_engine_speed.py`` runs that A/A
-identity check (and the speed comparison) on every CI pass, and
-``REPRO_ENGINE=heap`` (see :func:`repro.sim.engine.make_scheduler`)
-selects this engine for a whole run when debugging a suspected calendar
-bug.
+This is the original ``heapq``-backed scheduler over :class:`Event`
+objects, kept as the *reference implementation* (the A/A oracle) for
+:mod:`repro.sim.engine`: both engines realise the exact same
+``(time, seq)`` total order, so any fixed-seed experiment must produce
+bit-identical results on either.  ``benchmarks/bench_engine_speed.py``
+runs that A/A identity check (and the speed comparison) on every CI
+pass, ``tests/test_engine_differential.py`` drives both engines through
+random programs, and ``REPRO_ENGINE=heap`` (see
+:func:`repro.sim.engine.make_scheduler`) selects this engine for a whole
+run when debugging a suspected engine bug.
 
 The class mirrors the full scheduler API — including the elision
 primitives (:meth:`reserve_seq` / :meth:`schedule_reserved` /
 ``schedule_once``) and the logical ``events_processed`` accounting — so
-the port layer's event elision behaves identically here.  The freelist
-optimisation is deliberately *not* replicated: this engine optimises for
-obvious correctness, not speed.
+the port layer's event elision behaves identically here.  It optimises
+for obvious correctness, not speed: each hook keeps its own countdown and
+every comparison is a Python-level ``Event.__lt__``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.sim.engine import (
     DEFAULT_MAX_PENDING_EVENTS,
-    Event,
     ResourceError,
     SimulationError,
 )
@@ -33,7 +33,49 @@ from repro.sim.engine import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.profiler import SchedulerProfiler
 
-__all__ = ["HeapScheduler"]
+__all__ = ["Event", "HeapScheduler"]
+
+
+class Event:
+    """A scheduled callback.
+
+    Instances are returned by :meth:`HeapScheduler.schedule` /
+    :meth:`HeapScheduler.schedule_at` and can be cancelled via
+    :meth:`HeapScheduler.cancel` (or :meth:`Event.cancel`).
+
+    The ``cancelled`` flag doubles as a *settled* marker: the run loop sets
+    it when the event fires, so cancelling an event that already executed
+    is a no-op and the scheduler's live pending count stays exact.
+    """
+
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "sched")
+
+    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple,
+                 sched: Optional["HeapScheduler"] = None):
+        self.time = time
+        self.seq = seq
+        self.fn = fn
+        self.args = args
+        self.cancelled = False
+        self.sched = sched
+
+    def cancel(self) -> None:
+        """Mark this event so the scheduler skips it (no-op once settled)."""
+        if self.cancelled:
+            return
+        self.cancelled = True
+        sched = self.sched
+        if sched is not None:
+            sched._cancelled_pending += 1
+
+    def __lt__(self, other: "Event") -> bool:
+        if self.time != other.time:
+            return self.time < other.time
+        return self.seq < other.seq
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "settled" if self.cancelled else "pending"
+        return f"<Event t={self.time:.9f} seq={self.seq} {state} fn={getattr(self.fn, '__qualname__', self.fn)}>"
 
 
 class HeapScheduler:
@@ -41,7 +83,7 @@ class HeapScheduler:
 
     Drop-in replacement for :class:`repro.sim.engine.Scheduler` (same
     API, same event ordering, bit-identical results for identical seeds);
-    O(log n) per push/pop instead of the calendar queue's amortised O(1).
+    every heap comparison is a Python-level ``Event.__lt__`` call.
     """
 
     __slots__ = ("now", "_heap", "_seq", "_now_seq", "_events_processed",
@@ -90,16 +132,12 @@ class HeapScheduler:
         return ev
 
     def schedule_once(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Fire-and-forget schedule (see the calendar engine's docstring).
-        The heap engine recycles nothing, so this is plain :meth:`schedule`
-        apart from the marker flag."""
-        ev = self.schedule(delay, fn, *args)
-        ev.recyclable = True
-        return ev
+        """Fire-and-forget schedule: plain :meth:`schedule`."""
+        return self.schedule(delay, fn, *args)
 
     def reserve_seq(self) -> int:
         """Claim the next sequence number without inserting an event (the
-        elision primitive — see the calendar engine's docstring)."""
+        elision primitive — see :meth:`repro.sim.engine.Scheduler.reserve_seq`)."""
         seq = self._seq
         self._seq = seq + 1
         return seq
@@ -111,7 +149,6 @@ class HeapScheduler:
         if time < self.now:
             raise SimulationError(f"cannot schedule into the past: {time} < {self.now}")
         ev = Event(time, seq, fn, args, self)
-        ev.recyclable = True
         heapq.heappush(self._heap, ev)
         return ev
 
@@ -126,7 +163,7 @@ class HeapScheduler:
     # ------------------------------------------------------------------
     def add_hook(self, fn: Callable[["HeapScheduler"], None], interval_events: int) -> tuple:
         """Invoke ``fn(self)`` from the run loop every ``interval_events``
-        processed events (see the calendar engine for semantics)."""
+        processed events (see :meth:`repro.sim.engine.Scheduler.add_hook`)."""
         if interval_events < 1:
             raise SimulationError("hook interval must be at least one event")
         handle = (fn, interval_events)
@@ -171,9 +208,10 @@ class HeapScheduler:
         if max_events is None or processed < max_events:
             # Drained or passed the horizon: everything ordered at or
             # before (now, any seq) has fired, so the order position moves
-            # past all sequence numbers issued so far (elided reservations
-            # at exactly ``until`` rely on this — see Port._settle_tx).
-            self._now_seq = self._seq
+            # to the last sequence number issued so far (elided
+            # reservations at exactly ``until`` rely on this — see
+            # Port._settle_tx).
+            self._now_seq = self._seq - 1
             if until is not None and self.now < until:
                 self.now = until
         return processed
@@ -214,7 +252,7 @@ class HeapScheduler:
         return processed
 
     def _run_profiled_sampled(self, until: Optional[float], max_events: Optional[int]) -> int:
-        """Sampled-attribution profiled loop (mirrors the calendar
+        """Sampled-attribution profiled loop (mirrors the default
         engine's; see :class:`repro.obs.profiler.SchedulerProfiler`)."""
         from time import perf_counter
 
@@ -285,7 +323,7 @@ class HeapScheduler:
 
     def _run_profiled(self, until: Optional[float], max_events: Optional[int]) -> int:
         """Exact-attribution profiled loop (``sample_stride=1``; mirrors
-        the calendar engine's)."""
+        the default engine's)."""
         from time import perf_counter
 
         profiler = self.profiler
@@ -370,18 +408,18 @@ class HeapScheduler:
     @property
     def events_processed(self) -> int:
         """Total events executed over the scheduler's lifetime, including
-        elided no-op dispatches (see the calendar engine's docstring)."""
+        elided no-op dispatches (see the default engine's docstring)."""
         return self._events_processed + self._events_elided
 
     def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero."""
+        """Drop all pending events and rewind the clock to zero.  The
+        sequence counter keeps counting (as in the default engine)."""
         # Settle discarded events so a stale handle cancelled after the
         # reset cannot skew the fresh _cancelled_pending count.
         for ev in self._heap:
             ev.cancelled = True
         self._heap.clear()
         self.now = 0.0
-        self._seq = 0
         self._now_seq = -1
         self._events_processed = 0
         self._events_elided = 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import zlib
 
-__all__ = ["RngFactory", "stable_hash"]
+__all__ = ["RngFactory", "stable_hash", "stable_hash_from", "stable_hash_state"]
 
 
 def stable_hash(*parts: int | str) -> int:
@@ -26,6 +26,23 @@ def stable_hash(*parts: int | str) -> int:
     for part in parts:
         data = str(part).encode("utf-8")
         h = zlib.crc32(data, h)
+    return h & 0x7FFFFFFF
+
+
+def stable_hash_state(*parts: int | str) -> int:
+    """The running CRC after ``parts``, for :func:`stable_hash_from`: a
+    caller hashing many tuples with a constant prefix folds it once."""
+    h = 0
+    for part in parts:
+        h = zlib.crc32(str(part).encode("utf-8"), h)
+    return h
+
+
+def stable_hash_from(state: int, *parts: int | str) -> int:
+    """``stable_hash_from(stable_hash_state(*a), *b) == stable_hash(*a, *b)``."""
+    h = state
+    for part in parts:
+        h = zlib.crc32(str(part).encode("utf-8"), h)
     return h & 0x7FFFFFFF
 
 

@@ -8,7 +8,7 @@ simulation objects.  Keeping it declarative makes topologies easy to test
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 __all__ = ["LinkSpec", "Topology"]
@@ -94,9 +94,10 @@ class Topology:
                     raise ValueError(f"link references unknown node {end!r}")
             if link.node_a == link.node_b:
                 raise ValueError(f"self-loop on {link.node_a!r}")
+        degree = Counter(end for link in self.links for end in link.endpoints())
         for host in self.hosts:
-            if self.degree(host) != 1:
-                raise ValueError(f"host {host!r} must have exactly one link, has {self.degree(host)}")
+            if degree[host] != 1:
+                raise ValueError(f"host {host!r} must have exactly one link, has {degree[host]}")
         if self.hosts and len(self._reachable(self.hosts[0])) != len(names):
             raise ValueError(f"topology {self.name!r} is not connected")
 

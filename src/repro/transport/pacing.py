@@ -75,5 +75,5 @@ class PacedSender(TcpSender):
     def _finish(self) -> None:
         super()._finish()
         if self._pace_timer is not None:
-            self._pace_timer.cancel()
+            self.scheduler.cancel(self._pace_timer)
             self._pace_timer = None

@@ -24,7 +24,7 @@ from typing import Optional
 
 from repro.net.host import Host
 from repro.net.packet import ACK, DATA, Packet
-from repro.sim.engine import Event, Scheduler
+from repro.sim.engine import Scheduler
 from repro.transport.base import FlowHandle, TcpConfig
 
 __all__ = ["TcpSender", "TcpReceiver"]
@@ -82,7 +82,7 @@ class TcpSender:
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
         self.rto = config.min_rto
-        self._rto_timer: Optional[Event] = None
+        self._rto_timer: Optional[tuple] = None
         self._armed_rto = 0.0
         self._send_times: dict[int, float] = {}
 
@@ -330,13 +330,13 @@ class TcpSender:
 
     def _arm_timer(self) -> None:
         if self._rto_timer is not None:
-            self._rto_timer.cancel()
+            self.scheduler.cancel(self._rto_timer)
         self._armed_rto = self.rto
         self._rto_timer = self.scheduler.schedule(self.rto, self._on_timeout)
 
     def _cancel_timer(self) -> None:
         if self._rto_timer is not None:
-            self._rto_timer.cancel()
+            self.scheduler.cancel(self._rto_timer)
             self._rto_timer = None
 
     def _on_timeout(self) -> None:
@@ -477,7 +477,7 @@ class TcpReceiver:
         self._pending_segments = 0
         self._pending_ce = None
         if self._delack_timer is not None:
-            self._delack_timer.cancel()
+            self.scheduler.cancel(self._delack_timer)
             self._delack_timer = None
         self._send_ack(echo_ce=ce)
 

@@ -1,10 +1,12 @@
 """Unit tests for FIB computation, cross-validated with networkx."""
 
+from collections import deque
+
 import networkx as nx
 import pytest
 
 from repro.routing.fib import compute_fibs, shortest_path_lengths
-from repro.topo import Topology, click_testbed, fat_tree, leaf_spine, linear
+from repro.topo import click_testbed, fat_tree, hyperx, jellyfish, leaf_spine, linear
 
 
 def to_networkx(topo):
@@ -99,3 +101,67 @@ class TestShortestPathLengths:
         mine = shortest_path_lengths(topo, "host_0")
         theirs = nx.shortest_path_length(g, "host_0")
         assert mine == dict(theirs)
+
+
+def _reference_fibs(topo):
+    """The straightforward algorithm, one BFS per destination host: the
+    oracle for compute_fibs's grouped BFS."""
+    adj = topo.adjacency()
+    switch_names = set(topo.switches)
+    fibs = {name: {} for name in topo.switches}
+    for dst in topo.hosts:
+        dist = {dst: 0}
+        frontier = deque([dst])
+        while frontier:
+            node = frontier.popleft()
+            for nbr in adj[node]:
+                if nbr not in dist:
+                    dist[nbr] = dist[node] + 1
+                    frontier.append(nbr)
+        for switch in topo.switches:
+            d = dist.get(switch)
+            if d is None:
+                continue
+            next_hops = [
+                nbr
+                for nbr in adj[switch]
+                if dist.get(nbr, -1) == d - 1 and (nbr in switch_names or nbr == dst)
+            ]
+            if next_hops:
+                fibs[switch][dst] = sorted(next_hops)
+    return fibs
+
+
+def _odd_hosts():
+    """Hosts that are not single-homed on a switch: one behind another
+    host, one dual-homed, one isolated (as after a link failure)."""
+    topo = linear(switches=3, hosts_per_switch=1)
+    topo.add_host("behind_host_0")
+    topo.add_link("behind_host_0", "host_0", 1e9, 5e-6)
+    topo.add_host("dual")
+    topo.add_link("dual", "sw_0", 1e9, 5e-6)
+    topo.add_link("dual", "sw_2", 1e9, 5e-6)
+    topo.add_host("isolated")
+    return topo
+
+
+class TestGroupedBfsMatchesPerHostBfs:
+    @pytest.mark.parametrize("factory", [
+        lambda: fat_tree(k=4),
+        lambda: fat_tree(k=8),
+        leaf_spine,
+        lambda: jellyfish(switches=12, fabric_degree=3, hosts_per_switch=2, seed=5),
+        lambda: linear(switches=4, hosts_per_switch=2),
+        click_testbed,
+        lambda: hyperx(shape=(3, 3), hosts_per_switch=2),
+        _odd_hosts,
+    ], ids=["fat_tree_k4", "fat_tree_k8", "leaf_spine", "jellyfish", "linear",
+            "click_testbed", "hyperx", "odd_hosts"])
+    def test_identical_tables_and_key_order(self, factory):
+        topo = factory()
+        fibs = compute_fibs(topo)
+        reference = _reference_fibs(topo)
+        assert fibs == reference
+        assert list(fibs) == list(reference)
+        for switch in reference:
+            assert list(fibs[switch]) == list(reference[switch]), switch

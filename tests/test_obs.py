@@ -426,7 +426,7 @@ class TestSchedulerObsHooks:
         events = [sched.schedule_at(i * 0.001, lambda: None) for i in range(100)]
         assert sched.pending == 100
         for ev in events[50:]:
-            ev.cancel()
+            sched.cancel(ev)
         # Cancelled events still sit in the heap, but pending must not
         # count them (and must not cost a heap scan to say so).
         assert sched.pending == 50
@@ -437,8 +437,8 @@ class TestSchedulerObsHooks:
         sched = Scheduler()
         fired = sched.schedule_at(0.0, lambda: None)
         sched.run()
-        fired.cancel()
-        fired.cancel()
+        sched.cancel(fired)
+        sched.cancel(fired)
         assert sched.pending == 0
 
 

@@ -10,7 +10,7 @@ from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue, PFabricQueue, SharedBufferPool
 from repro.routing.fib import compute_fibs, shortest_path_lengths
 from repro.sim.engine import Scheduler
-from repro.sim.rng import stable_hash
+from repro.sim.rng import stable_hash, stable_hash_from, stable_hash_state
 from repro.topo import fat_tree, jellyfish, leaf_spine
 from repro.workload.distributions import EmpiricalDistribution
 
@@ -40,7 +40,7 @@ class TestSchedulerProperties:
         events = [sched.schedule(d, fired.append, i) for i, d in enumerate(delays)]
         to_cancel = data.draw(st.sets(st.integers(0, len(delays) - 1)))
         for i in to_cancel:
-            events[i].cancel()
+            sched.cancel(events[i])
         sched.run()
         assert set(fired) == set(range(len(delays))) - to_cancel
 
@@ -190,6 +190,11 @@ class TestHashProperties:
     @given(st.integers(0, 2**40), st.integers(0, 2**40))
     def test_stable_hash_deterministic(self, a, b):
         assert stable_hash(a, b) == stable_hash(a, b)
+
+    @given(st.lists(st.one_of(st.integers(0, 2**40), st.text(max_size=8)), max_size=4),
+           st.lists(st.one_of(st.integers(0, 2**40), st.text(max_size=8)), max_size=4))
+    def test_stable_hash_from_folded_prefix_matches(self, prefix, rest):
+        assert stable_hash_from(stable_hash_state(*prefix), *rest) == stable_hash(*prefix, *rest)
 
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=5))
     def test_stable_hash_in_range(self, parts):

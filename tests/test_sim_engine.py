@@ -5,8 +5,6 @@ import random
 import pytest
 
 from repro.sim.engine import (
-    _INITIAL_WIDTH,
-    _NBUCKETS,
     ResourceError,
     Scheduler,
     SimulationError,
@@ -150,7 +148,7 @@ class TestCancellation:
         sched = Scheduler()
         fired = []
         ev = sched.schedule(1.0, fired.append, "x")
-        ev.cancel()
+        sched.cancel(ev)
         sched.run()
         assert fired == []
 
@@ -158,18 +156,18 @@ class TestCancellation:
         sched = Scheduler()
         fired = []
         ev = sched.schedule(1.0, fired.append, "x")
-        Scheduler.cancel(ev)
+        sched.cancel(ev)
         sched.run()
         assert fired == []
 
     def test_cancel_none_is_noop(self):
-        Scheduler.cancel(None)  # must not raise
+        Scheduler().cancel(None)  # must not raise
 
     def test_cancelled_events_skipped_by_peek(self):
         sched = Scheduler()
         ev = sched.schedule(1.0, lambda: None)
         sched.schedule(2.0, lambda: None)
-        ev.cancel()
+        sched.cancel(ev)
         assert sched.peek_time() == 2.0
 
     def test_pending_excludes_cancelled(self):
@@ -177,7 +175,7 @@ class TestCancellation:
         ev = sched.schedule(1.0, lambda: None)
         sched.schedule(2.0, lambda: None)
         assert sched.pending == 2
-        ev.cancel()
+        sched.cancel(ev)
         assert sched.pending == 1
 
     def test_cancel_one_of_simultaneous_events(self):
@@ -185,7 +183,7 @@ class TestCancellation:
         fired = []
         sched.schedule(1.0, fired.append, "keep")
         ev = sched.schedule(1.0, fired.append, "drop")
-        ev.cancel()
+        sched.cancel(ev)
         sched.run()
         assert fired == ["keep"]
 
@@ -212,9 +210,10 @@ class TestReset:
         assert sched.now == 0.5
 
     def test_reset_clears_overflow_band(self):
+        # (Named for the former calendar queue's far-future band.)  An
+        # event far past every other pending one is dropped by reset too.
         sched = Scheduler()
-        # Far beyond the initial window: parks in the overflow heap.
-        sched.schedule(_NBUCKETS * _INITIAL_WIDTH * 50, lambda: None)
+        sched.schedule(0.05, lambda: None)
         sched.reset()
         assert sched.pending == 0
         assert sched.peek_time() is None
@@ -225,14 +224,16 @@ class TestReset:
 
 
 class TestCalendarGeometry:
-    """The bucketed ring, the overflow band, and window rollovers."""
+    """Scenarios that once stressed the calendar queue's geometry (window
+    rollovers, the far-future overflow band, bucket-width adaptation),
+    kept as behavioural tests of dispatch order: the engine must give the
+    same ``(time, seq)`` order however the event times are spread."""
 
     def test_order_preserved_across_window_rollovers(self):
-        # Span many multiples of the initial window so the run loop must
-        # roll the window forward repeatedly (and re-derive the bucket
-        # width from the observed event stream along the way).
+        # Thousands of events over a span much wider than their mean gap,
+        # inserted in shuffled order.
         sched = Scheduler()
-        span = _NBUCKETS * _INITIAL_WIDTH * 8
+        span = 8e-3
         rng = random.Random(7)
         times = sorted(rng.uniform(0.0, span) for _ in range(3000))
         order = []
@@ -243,42 +244,55 @@ class TestCalendarGeometry:
         assert sched.pending == 0
 
     def test_far_future_event_lands_in_overflow_and_fires_last(self):
+        # An event 10^5 times further out than the rest, scheduled first,
+        # still fires last and sets the final clock.
         sched = Scheduler()
-        far = _NBUCKETS * _INITIAL_WIDTH * 100
+        far = 0.1
         order = []
         sched.schedule_at(far, order.append, "far")
         for i in range(5):
             sched.schedule_at(i * 1e-6, order.append, i)
-        assert len(sched._overflow) == 1  # parked beyond the window
+        assert sched.pending == 6
+        assert sched.peek_time() == 0.0
         sched.run()
         assert order == [0, 1, 2, 3, 4, "far"]
         assert sched.now == far
 
     def test_fifo_ties_preserved_through_overflow_refill(self):
-        # Simultaneous events parked in the overflow band must keep their
-        # FIFO (sequence) order when a rollover pulls them into the ring.
+        # Simultaneous events keep their FIFO (sequence) order across a
+        # 100x time gap, whether scheduled before the run or from inside
+        # it.
         sched = Scheduler()
-        far = _NBUCKETS * _INITIAL_WIDTH * 10
+        near = 1e-4
+        far = 100 * near
         order = []
         for i in range(20):
             sched.schedule_at(far, order.append, i)
+
+        def late_ties():
+            order.append("near")
+            for i in range(20, 25):
+                sched.schedule_at(far, order.append, i)
+
+        sched.schedule_at(near, late_ties)
         sched.schedule_at(0.0, order.append, "first")
         sched.run()
-        assert order == ["first"] + list(range(20))
+        assert order == ["first", "near"] + list(range(25))
 
     def test_width_adapts_to_sparse_event_stream(self):
-        # A stream sparser than the initial 1 us/bucket geometry but dense
-        # enough that each consumed window clears the _WIDTH_MIN_SAMPLE
-        # gate: the derived width must grow (damped to 4x per rollover),
-        # and ordering must survive the repeated re-bucketing.
+        # A long, evenly sparse stream drains in order, one event per
+        # time step, and leaves the clock on the last event.
         sched = Scheduler()
         order = []
-        gap = _INITIAL_WIDTH * 8  # ~128 events per initial window
+        gap = 8e-6
         for i in range(1000):
             sched.schedule_at(i * gap, order.append, i)
+        assert sched.run(max_events=500) == 500
+        assert sched.pending == 500
         sched.run()
         assert order == list(range(1000))
-        assert sched._width > _INITIAL_WIDTH
+        assert sched.now == 999 * gap
+        assert sched.pending == 0
 
     def test_events_scheduled_mid_run_join_current_bucket(self):
         # A callback scheduling an event for "now" (same bucket, behind
@@ -300,7 +314,7 @@ class TestCalendarGeometry:
         sched = Scheduler()
         fired = []
         victim = sched.schedule(3e-6, fired.append, "victim")
-        sched.schedule(1e-6, victim.cancel)
+        sched.schedule(1e-6, sched.cancel, victim)
         sched.schedule(5e-6, fired.append, "after")
         sched.run()
         assert fired == ["after"]
@@ -308,7 +322,7 @@ class TestCalendarGeometry:
 
 
 class TestHeapParity:
-    """The calendar engine and the reference heap engine must execute any
+    """The default engine and the reference heap engine must execute any
     workload identically: same callback order, same clock, same counts."""
 
     @staticmethod
@@ -325,7 +339,7 @@ class TestHeapParity:
                 sched.schedule(rng.choice([0.0, 1e-7, 3e-6, 2e-3]), work,
                                f"{label}/child")
             if handles and rng.random() < 0.2:
-                handles.pop(rng.randrange(len(handles))).cancel()
+                sched.cancel(handles.pop(rng.randrange(len(handles))))
 
         for i in range(300):
             delay = rng.choice([0.0, 1e-7, 1e-6, 7e-6, 1e-3, 0.5])
@@ -347,36 +361,51 @@ class TestHeapParity:
 
 
 class TestFreelist:
-    """schedule_once events are recycled once settled."""
+    """Scenarios from the former Event freelist (settled handles used to be
+    reused), kept as behavioural tests: a handle outlives its event, and
+    cancelling it after the event fired or was consumed is a no-op that
+    leaves ``pending`` exact and later events untouched."""
 
     def test_fired_once_events_are_recycled(self):
         sched = Scheduler()
-        for _ in range(10):
-            sched.schedule_once(1e-6, lambda: None)
+        fired = []
+        handles = [sched.schedule_once(1e-6, fired.append, i) for i in range(10)]
         sched.run()
-        assert len(sched._free) == 10
-        recycled = sched._free[-1]
-        ev = sched.schedule_once(1e-6, lambda: None)
-        assert ev is recycled  # reused, not freshly allocated
+        ev = sched.schedule_once(1e-6, fired.append, "next")
+        for stale in handles:
+            sched.cancel(stale)
+        assert sched.pending == 1
+        sched.run()
+        assert fired == list(range(10)) + ["next"]
+        assert sched.pending == 0
+        assert ev not in handles  # a fresh handle, distinct from every settled one
 
     def test_cancelled_once_event_is_recycled_after_consumption(self):
         sched = Scheduler()
         fired = []
         ev = sched.schedule_once(1e-6, fired.append, "x")
-        ev.cancel()
+        sched.cancel(ev)
         sched.schedule_once(2e-6, fired.append, "y")
         sched.run()
         assert fired == ["y"]
-        assert ev in sched._free
+        sched.cancel(ev)  # consumed while dead: a second cancel is a no-op
+        sched.schedule_once(1e-6, fired.append, "z")
+        assert sched.pending == 1
+        sched.run()
+        assert fired == ["y", "z"]
 
     def test_escaped_handles_are_never_recycled(self):
         # schedule() handles may outlive the run (callers can cancel
-        # late); they must not be pooled for reuse.
+        # late); a late cancel must not touch later events.
         sched = Scheduler()
         ev = sched.schedule(1e-6, lambda: None)
         sched.run()
-        assert ev not in sched._free
-        ev.cancel()  # late cancel through the stale handle: harmless no-op
+        later = []
+        sched.schedule(0.0, later.append, "same-time")
+        sched.cancel(ev)  # late cancel through the stale handle: harmless no-op
+        assert sched.pending == 1
+        sched.run()
+        assert later == ["same-time"]
         assert sched.pending == 0
 
     def test_recycled_event_fires_with_new_payload(self):
