@@ -18,6 +18,18 @@ from repro.sim.engine import Scheduler
 __all__ = ["Host"]
 
 
+class _MissingNic:
+    """Stands in for the NIC of a host with no port yet: sending raises."""
+
+    __slots__ = ("host",)
+
+    def __init__(self, host: "Host") -> None:
+        self.host = host
+
+    def send(self, pkt: Packet) -> bool:
+        raise RuntimeError(f"host {self.host.name} has no NIC attached")
+
+
 class Host(Node):
     """A server attached to the fabric by a single NIC."""
 
@@ -37,6 +49,7 @@ class Host(Node):
         # Attached by repro.obs.spans.SpanRecorder; samples originated
         # DATA packets for hop-by-hop span tracing.
         self.span_recorder = None
+        self._nic = _MissingNic(self)
 
     # ------------------------------------------------------------------
     @property
@@ -46,6 +59,13 @@ class Host(Node):
             raise RuntimeError(f"host {self.name} has no NIC attached")
         return self.ports[0]
 
+    def add_port(self, port) -> int:
+        index = super().add_port(port)
+        if index == 0:
+            # Resolved once: send() hands packets to it without a lookup.
+            self._nic = port
+        return index
+
     def send(self, pkt: Packet) -> bool:
         """Hand a packet to the NIC.  Returns ``False`` on NIC queue drop."""
         if self.trace_paths and pkt.path is None:
@@ -54,7 +74,7 @@ class Host(Node):
             pkt.path.append(self.name)
         if self.span_recorder is not None:
             self.span_recorder.on_send(self, pkt)
-        return self.nic.send(pkt)
+        return self._nic.send(pkt)
 
     # ------------------------------------------------------------------
     def register(self, flow_id: int, endpoint: Callable[[Packet], None]) -> None:

@@ -42,6 +42,29 @@ The flag gates the whole hot-path transmit bundle — elision *and* the
 idle-send queue bypass below — so ``REPRO_ELIDE_TX=0`` restores the seed
 engine's transmit path event for event; that is the "before" arm of
 ``benchmarks/bench_engine_speed.py``.
+
+Decided on transitions
+----------------------
+State that changes only on rare transitions is folded into precomputed
+fields by the operation that changes it, so the per-packet path reads one
+field instead of re-testing the state (docs/INTERNALS.md, "Per-hop
+budget"):
+
+* ``_inline_q`` (``elide_tx`` and a droptail/ECN queue), ``_can_tx``
+  (up and not paused) and ``_bypass`` (all of it, and no occupancy
+  observer) — recomputed by ``pause``/``resume``, ``set_down``/``set_up``
+  and whenever ``elide_tx`` or ``on_queue_change`` is assigned; both stay
+  assignable after construction (PFC attaches its observer to built
+  ports);
+* ``_peer_receive`` — what a delivery calls: a receiver that raises
+  :class:`SimulationError` until :func:`connect` wires the peer, then the
+  peer's ``receive``, or ``_corrupt_delivery`` while assigning
+  ``corrupt_next`` has armed a corruption budget — so a delivery tests
+  neither wiring nor corruption;
+* ``_deliver_cb`` / ``_tx_next_cb`` — the port's two scheduled callbacks,
+  bound once instead of on every schedule;
+* ``busy_seconds`` — derived from ``bytes_sent`` plus the correction
+  :meth:`Port.set_down` keeps, instead of a float summed per packet.
 """
 
 from __future__ import annotations
@@ -87,20 +110,26 @@ class Port:
         "bytes_sent",
         "pkts_sent",
         "bytes_killed",
-        "busy_seconds",
+        "_busy_correction_s",
         "drops_link_down",
         "drops_corrupt",
-        "corrupt_next",
-        "on_queue_change",
+        "_corrupt_next",
+        "_on_queue_change",
         "_pause_expiry",
         "_in_flight",
         "pauses_received",
         "_s_per_byte",
+        "_receiver",
         "_peer_receive",
-        "elide_tx",
+        "_elide_tx",
         "_txdone_seq",
         "_tx_end",
         "_fast_q",
+        "_inline_q",
+        "_can_tx",
+        "_bypass",
+        "_deliver_cb",
+        "_tx_next_cb",
         "jitter_s",
         "_jitter_rng",
         "_last_arrival",
@@ -121,21 +150,24 @@ class Port:
         self.peer_port_index: int = -1
         self.peer_is_host = False
         self._busy = False
-        self.paused = False  # Ethernet flow control (see repro.net.pfc)
-        self.up = True  # link fault state (see repro.faults)
+        # Ethernet flow control (see repro.net.pfc) and link fault state
+        # (see repro.faults).  Written only by pause()/resume() and
+        # set_down()/set_up(), which recompute the fast-path flags.
+        self.paused = False
+        self.up = True
         self.bytes_sent = 0
         self.pkts_sent = 0
         # Full sizes of packets killed mid-flight by set_down() — kept
         # separate so utilisation (bytes_sent deltas) counts only bytes
         # that actually crossed the wire.
         self.bytes_killed = 0
-        self.busy_seconds = 0.0
+        # What set_down() backed out of the serialization time credited at
+        # transmit start, beyond the whole bytes it took off bytes_sent
+        # (see busy_seconds).
+        self._busy_correction_s = 0.0
         self.drops_link_down = 0
         self.drops_corrupt = 0
-        self.corrupt_next = 0
-        # Optional observer invoked after every enqueue/dequeue on this
-        # port's queue; used by PFC to watch occupancy thresholds.
-        self.on_queue_change = None
+        self._corrupt_next = 0
         self._pause_expiry = None
         # (event, packet) pairs scheduled for delivery but not yet arrived.
         # Deliveries fire in FIFO order (each packet's arrival time is its
@@ -143,14 +175,19 @@ class Port:
         # propagation delay), so a deque popped at _deliver suffices.
         self._in_flight: deque = deque()
         self.pauses_received = 0
-        # Hot-path hoists: serialization seconds per byte, and the peer's
-        # bound receive method (rebound by attach_peer).
+        # Hot-path hoists: serialization seconds per byte, the peer's
+        # receive (a raising placeholder until attach_peer wires the real
+        # one), what _deliver calls (that receive, or _corrupt_delivery
+        # while a corruption budget is armed), and the two callbacks this
+        # port schedules, bound once.
         self._s_per_byte = 8.0 / rate_bps
-        self._peer_receive = None
+        self._receiver = self._not_connected
+        self._peer_receive = self._receiver
+        self._deliver_cb = self._deliver
+        self._tx_next_cb = self._tx_next
         # tx-done elision state (see module docstring): the reserved
         # sequence number of the elided event (-1 = none) and the absolute
         # time the current/last serialization finishes.
-        self.elide_tx = os.environ.get("REPRO_ELIDE_TX", "1") != "0"
         self._txdone_seq = -1
         self._tx_end = 0.0
         # Jittered propagation (hostile-regime scenarios, e.g. space-DC
@@ -167,13 +204,74 @@ class Port:
         # DynamicBufferQueue is excluded — its admission depends on the
         # switch-wide pool, so even an empty queue may reject.
         self._fast_q = type(queue) in (DropTailQueue, EcnQueue)
+        self._elide_tx = os.environ.get("REPRO_ELIDE_TX", "1") != "0"
+        # Optional observer invoked after every enqueue/dequeue on this
+        # port's queue; used by PFC to watch occupancy thresholds.
+        self._on_queue_change = None
+        self._refresh_fast_path()
 
     # ------------------------------------------------------------------
     def attach_peer(self, peer: "Port") -> None:
         self.peer_node = peer.node
         self.peer_port_index = peer.index
         self.peer_is_host = peer.node.is_host
-        self._peer_receive = peer.node.receive
+        self._receiver = peer.node.receive
+        if self._corrupt_next == 0:
+            self._peer_receive = self._receiver
+        self.node.port_wired(self)
+
+    def _not_connected(self, pkt: Packet, in_port: int) -> None:
+        # A real error, not an assert: a miswired topology must fail
+        # loudly even under ``python -O`` (which strips asserts).
+        raise SimulationError(
+            f"port {self.node.name}[{self.index}] delivered a packet but is not connected"
+        )
+
+    # ------------------------------------------------------------------
+    # transition-maintained fast-path flags (see module docstring)
+    # ------------------------------------------------------------------
+    @property
+    def elide_tx(self) -> bool:
+        """Whether this port elides no-op tx-done events (and takes the
+        idle-send queue bypass); assignable at any time."""
+        return self._elide_tx
+
+    @elide_tx.setter
+    def elide_tx(self, value: bool) -> None:
+        self._elide_tx = bool(value)
+        self._refresh_fast_path()
+
+    @property
+    def on_queue_change(self):
+        """Observer ``fn(port)`` called after every enqueue/dequeue on
+        this port's queue, or ``None``; assignable at any time."""
+        return self._on_queue_change
+
+    @on_queue_change.setter
+    def on_queue_change(self, observer) -> None:
+        self._on_queue_change = observer
+        self._refresh_fast_path()
+
+    @property
+    def corrupt_next(self) -> int:
+        """Deliveries still to be discarded as CRC failures (fault
+        injection); assignable at any time."""
+        return self._corrupt_next
+
+    @corrupt_next.setter
+    def corrupt_next(self, count: int) -> None:
+        self._corrupt_next = count
+        self._peer_receive = self._corrupt_delivery if count > 0 else self._receiver
+
+    def _refresh_fast_path(self) -> None:
+        # _inline_q: _tx_next pops the droptail/ECN deque itself.
+        # _can_tx: the transmitter may start a packet (up, not paused).
+        # _bypass: an idle send may skip the queue round trip, which is
+        # only invisible when no observer watches the occupancy — and
+        # only possible on a port that may transmit.
+        self._inline_q = self._elide_tx and self._fast_q
+        self._can_tx = self.up and not self.paused
+        self._bypass = self._inline_q and self._on_queue_change is None and self._can_tx
 
     def tx_time(self, pkt: Packet) -> float:
         """Serialisation delay of ``pkt`` on this port."""
@@ -196,16 +294,6 @@ class Port:
         self.jitter_s = jitter_s
         self._jitter_rng = rng if jitter_s > 0 else None
 
-    def _schedule_delivery(self, tx_end: float, pkt: Packet):
-        """Schedule ``pkt``'s arrival with jittered propagation (only
-        called when a jitter RNG is installed; the fixed-delay paths
-        schedule directly)."""
-        arrival = tx_end + self.delay_s + self.jitter_s * self._jitter_rng.random()
-        if arrival < self._last_arrival:
-            arrival = self._last_arrival  # FIFO clamp: links never reorder
-        self._last_arrival = arrival
-        return self.scheduler.schedule_at(arrival, self._deliver, pkt)
-
     # ------------------------------------------------------------------
     @property
     def busy(self) -> bool:
@@ -219,6 +307,17 @@ class Port:
         if self._txdone_seq >= 0:
             self._settle_tx()
         return self._busy
+
+    @property
+    def busy_seconds(self) -> float:
+        """Seconds this transmitter spent serializing packets.
+
+        Derived rather than summed per packet: every transmitted byte
+        took ``8 / rate_bps`` seconds, and :meth:`set_down` records what
+        it backed out of a packet caught mid-serialization beyond the
+        whole bytes it took off ``bytes_sent``.
+        """
+        return self.bytes_sent * self._s_per_byte - self._busy_correction_s
 
     @property
     def in_flight(self) -> int:
@@ -251,7 +350,9 @@ class Port:
         output queue is necessarily empty while a reservation is live
         (any enqueue goes through :meth:`send`, which settles or
         materializes first), so the heap engine's ``_tx_done`` would have
-        found nothing to transmit."""
+        found nothing to transmit.  The settled event is counted in
+        ``Scheduler._events_elided``, which is also how a profiler charges
+        it (to ``link.tx``, in bulk: see :mod:`repro.obs.profiler`)."""
         seq = self._txdone_seq
         if seq < 0:
             return
@@ -262,52 +363,37 @@ class Port:
             self._txdone_seq = -1
             self._busy = False
             sched._events_elided += 1
-            profiler = sched.profiler
-            if profiler is not None:
-                # Keep profiles summing to the logical event count: the
-                # elided dispatch contributes its event, and (truthfully)
-                # zero wall time, to the link.tx category.
-                profiler.record(self._tx_next, 0.0)
 
     def _materialize_tx(self) -> None:
         """Re-insert the elided tx-done at its reserved ``(time, seq)``
         position — called when its no-op proof stops holding."""
         seq = self._txdone_seq
         self._txdone_seq = -1
-        self.scheduler.schedule_reserved(self._tx_end, seq, self._tx_next)
+        self.scheduler.schedule_reserved(self._tx_end, seq, self._tx_next_cb)
 
     # ------------------------------------------------------------------
     def send(self, pkt: Packet) -> bool:
         """Enqueue ``pkt`` for transmission.  Returns ``False`` on tail drop
         (or, for a down port, a recorded ``link_down`` drop)."""
-        if not self.up:
-            self.drops_link_down += 1
-            if pkt.span is not None:
-                pkt.span.rec.finish(
-                    pkt.span, "dropped:link_down", self.scheduler.now,
-                    where=self.node.name,
-                )
-            return False
         seqr = self._txdone_seq
         if seqr >= 0:
             # Inline settle (see _settle_tx): an idle port with a passed
             # elided tx-done still reads ``_busy`` until settled — do it
             # before the fast-path test so the idle case is recognized.
+            # (A down port never holds a reservation: set_down settles or
+            # materializes it.)
             sched = self.scheduler
-            te = self._tx_end
-            now = sched.now
-            if now > te or (now == te and sched._now_seq >= seqr):
+            if sched.now > self._tx_end or (
+                sched.now == self._tx_end and sched._now_seq >= seqr
+            ):
                 self._txdone_seq = -1
                 self._busy = False
                 sched._events_elided += 1
-                if sched.profiler is not None:
-                    sched.profiler.record(self._tx_next, 0.0)
         queue = self.queue
-        if (self.elide_tx and not self._busy and not self.paused and self._fast_q
-                and not queue._q and self.on_queue_change is None):
+        if self._bypass and not self._busy and not queue._q:
             # Fast path (the common case under light-to-moderate load):
-            # idle transmitter, empty droptail/ECN queue, no occupancy
-            # observer.  The enqueue-then-dequeue round trip would be a
+            # idle transmitter on an up, unpaused port, empty droptail/ECN
+            # queue, no occupancy observer.  The enqueue-then-dequeue round trip would be a
             # no-op — below capacity nothing drops, and at occupancy 1
             # nothing marks (the ECN threshold is >= 1 by construction)
             # — so the packet goes straight to the transmitter.
@@ -319,7 +405,6 @@ class Port:
             tx = size * self._s_per_byte
             self.bytes_sent += size
             self.pkts_sent += 1
-            self.busy_seconds += tx
             sched = self.scheduler
             self._tx_end = sched.now + tx
             if pkt.span is not None:
@@ -330,17 +415,32 @@ class Port:
                 hop["q_s"] = 0.0
                 hop["tx_s"] = tx
                 hop["prop_s"] = self.delay_s
-            # Inlined Scheduler.reserve_seq (hot path; this whole branch is
-            # gated on elide_tx, so the tx-done is always elided here).
+            # Inlined Scheduler.reserve_seq (hot path; _bypass implies
+            # elide_tx, so the tx-done is always elided here).
             seq = sched._seq
             sched._seq = seq + 1
             self._txdone_seq = seq
-            if self._jitter_rng is None:
-                delivery = sched.schedule_once(tx + self.delay_s, self._deliver, pkt)
+            rng = self._jitter_rng
+            if rng is None:
+                delivery = sched.schedule_once(tx + self.delay_s, self._deliver_cb, pkt)
             else:
-                delivery = self._schedule_delivery(self._tx_end, pkt)
+                # Jittered propagation (see set_jitter), with the FIFO
+                # clamp: links never reorder.
+                arrival = self._tx_end + self.delay_s + self.jitter_s * rng.random()
+                if arrival < self._last_arrival:
+                    arrival = self._last_arrival
+                self._last_arrival = arrival
+                delivery = sched.schedule_at(arrival, self._deliver_cb, pkt)
             self._in_flight.append((delivery, pkt))
             return True
+        if not self.up:
+            self.drops_link_down += 1
+            if pkt.span is not None:
+                pkt.span.rec.finish(
+                    pkt.span, "dropped:link_down", self.scheduler.now,
+                    where=self.node.name,
+                )
+            return False
         if not queue.enqueue(pkt):
             # Tail drop.  Idempotent finish: the switch's _drop also
             # observes this and fires first for switch-initiated drops.
@@ -354,8 +454,9 @@ class Port:
             hop = pkt.span.hops[-1]
             hop["port"] = self.index
             hop["t_q"] = self.scheduler.now
-        if self.on_queue_change is not None:
-            self.on_queue_change(self)
+        observer = self._on_queue_change
+        if observer is not None:
+            observer(self)
         seqr = self._txdone_seq
         if seqr >= 0:
             # The queue is no longer empty and the elided tx-done's turn
@@ -363,8 +464,8 @@ class Port:
             # longer a no-op — put it back on the calendar (inlined
             # _materialize_tx, hot under sustained load).
             self._txdone_seq = -1
-            self.scheduler.schedule_reserved(self._tx_end, seqr, self._tx_next)
-        if not self._busy and not self.paused:
+            self.scheduler.schedule_reserved(self._tx_end, seqr, self._tx_next_cb)
+        if not self._busy and self._can_tx:
             self._tx_next()
         return True
 
@@ -376,6 +477,7 @@ class Port:
         models that; ``None`` pauses until an explicit :meth:`resume`.
         """
         self.paused = True
+        self._refresh_fast_path()
         self.pauses_received += 1
         if self._pause_expiry is not None:
             self.scheduler.cancel(self._pause_expiry)
@@ -391,6 +493,7 @@ class Port:
         if not self.paused:
             return
         self.paused = False
+        self._refresh_fast_path()
         if self._txdone_seq >= 0:
             self._settle_tx()
             if self._txdone_seq >= 0:
@@ -399,11 +502,11 @@ class Port:
             self._tx_next()
 
     def _tx_next(self) -> None:
-        if self.paused or not self.up:
+        if not self._can_tx:
             self._busy = False
             return
         queue = self.queue
-        if self._fast_q and self.elide_tx:
+        if self._inline_q:
             # Inlined DropTailQueue.dequeue (hot: once per transmitted
             # packet).  Part of the elide_tx hot-path bundle so that
             # REPRO_ELIDE_TX=0 keeps the seed's dequeue call; the
@@ -418,14 +521,14 @@ class Port:
         elif (pkt := queue.dequeue()) is None:
             self._busy = False
             return
-        if self.on_queue_change is not None:
-            self.on_queue_change(self)
+        observer = self._on_queue_change
+        if observer is not None:
+            observer(self)
         self._busy = True
         size = pkt.size
         tx = size * self._s_per_byte
         self.bytes_sent += size
         self.pkts_sent += 1
-        self.busy_seconds += tx
         sched = self.scheduler
         self._tx_end = sched.now + tx
         if pkt.span is not None:
@@ -435,7 +538,7 @@ class Port:
             hop["q_s"] = now_t - hop.get("t_q", now_t)
             hop["tx_s"] = tx
             hop["prop_s"] = self.delay_s
-        if self.elide_tx and not queue._q:
+        if self._elide_tx and not queue._q:
             # Nothing left to transmit when serialization ends: elide the
             # tx-done (reserve its sequence number so the total order is
             # unchanged) instead of dispatching a no-op event.  Inlined
@@ -448,11 +551,16 @@ class Port:
             # when the last bit leaves and immediately starts the next
             # packet; propagation of the in-flight packet continues
             # independently.
-            sched.schedule_once(tx, self._tx_next)
-        if self._jitter_rng is None:
-            delivery = sched.schedule_once(tx + self.delay_s, self._deliver, pkt)
+            sched.schedule_once(tx, self._tx_next_cb)
+        rng = self._jitter_rng
+        if rng is None:
+            delivery = sched.schedule_once(tx + self.delay_s, self._deliver_cb, pkt)
         else:
-            delivery = self._schedule_delivery(self._tx_end, pkt)
+            arrival = self._tx_end + self.delay_s + self.jitter_s * rng.random()
+            if arrival < self._last_arrival:
+                arrival = self._last_arrival  # FIFO clamp (see send)
+            self._last_arrival = arrival
+            delivery = sched.schedule_at(arrival, self._deliver_cb, pkt)
         self._in_flight.append((delivery, pkt))
 
     def _tx_done(self) -> None:
@@ -461,26 +569,21 @@ class Port:
         self._tx_next()
 
     def _deliver(self, pkt: Packet) -> None:
-        receive = self._peer_receive
-        if receive is None:
-            # A real error, not an assert: a miswired topology must fail
-            # loudly even under ``python -O`` (which strips asserts).
-            raise SimulationError(
-                f"port {self.node.name}[{self.index}] delivered a packet but is not connected"
-            )
         self._in_flight.popleft()
-        if self.corrupt_next > 0:
-            # Injected corruption: the frame fails its CRC at the receiver
-            # and is discarded — to the transport this is an ordinary loss.
-            self.corrupt_next -= 1
-            self.drops_corrupt += 1
-            if pkt.span is not None:
-                pkt.span.rec.finish(
-                    pkt.span, "dropped:corrupt", self.scheduler.now,
-                    where=self.peer_node.name,
-                )
-            return
-        receive(pkt, self.peer_port_index)
+        # The peer's receive; _not_connected (raises) until connect()
+        # wires the peer, _corrupt_delivery while corruption is armed.
+        self._peer_receive(pkt, self.peer_port_index)
+
+    def _corrupt_delivery(self, pkt: Packet, in_port: int) -> None:
+        """Injected corruption: the frame fails its CRC at the receiver
+        and is discarded — to the transport this is an ordinary loss."""
+        self.corrupt_next = self._corrupt_next - 1
+        self.drops_corrupt += 1
+        if pkt.span is not None:
+            pkt.span.rec.finish(
+                pkt.span, "dropped:corrupt", self.scheduler.now,
+                where=self.peer_node.name,
+            )
 
     # ------------------------------------------------------------------
     # fault state (driven by repro.faults.FaultInjector)
@@ -506,6 +609,7 @@ class Port:
             if self._txdone_seq >= 0:
                 self._materialize_tx()
         self.up = False
+        self._refresh_fast_path()
         now = self.scheduler.now
         if self._busy and self._in_flight and now < self._tx_end:
             # The newest in-flight packet is still serializing: back out
@@ -518,7 +622,7 @@ class Port:
             if undo > tail_pkt.size:
                 undo = tail_pkt.size
             self.bytes_sent -= undo
-            self.busy_seconds -= remainder_s
+            self._busy_correction_s += remainder_s - undo * self._s_per_byte
         killed = 0
         cancel = self.scheduler.cancel
         while self._in_flight:
@@ -538,6 +642,7 @@ class Port:
         if self.up:
             return
         self.up = True
+        self._refresh_fast_path()
         if self._txdone_seq >= 0:
             self._settle_tx()
             if self._txdone_seq >= 0:

@@ -297,13 +297,24 @@ class Network:
         self._install_fib_tables(compute_fibs(self.topo))
 
     def _install_fib_tables(self, fibs: dict[str, dict[str, list[str]]]) -> None:
+        # compute_fibs shares one next-hop list between the destinations
+        # of a BFS group, so names are resolved to ports once per distinct
+        # list (keyed by identity) and the switch gets the shared result.
+        node_ids = {name: node.node_id for name, node in self._nodes.items()}
+        port_index = self._port_index
         for switch in self.switches:
-            symbolic = fibs.get(switch.name, {})
-            table: dict[int, list[int]] = {}
-            for dst_name, next_hops in symbolic.items():
-                dst_id = self._nodes[dst_name].node_id
-                table[dst_id] = [self._port_index[(switch.name, hop)] for hop in next_hops]
-            switch.install_fib(table)
+            name = switch.name
+            ports = switch.ports
+            resolved: dict[int, list[Port]] = {}
+            routes: dict[int, list[Port]] = {}
+            for dst_name, next_hops in fibs.get(name, {}).items():
+                hops = resolved.get(id(next_hops))
+                if hops is None:
+                    hops = resolved[id(next_hops)] = [
+                        ports[port_index[(name, hop)]] for hop in next_hops
+                    ]
+                routes[node_ids[dst_name]] = hops
+            switch.install_routes(routes)
         self.note_topology_change()
 
     def note_topology_change(self) -> None:

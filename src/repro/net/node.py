@@ -33,6 +33,10 @@ class Node:
         self.ports.append(port)
         return len(self.ports) - 1
 
+    def port_wired(self, port: "Port") -> None:
+        """Called when ``port``, one of this node's, is wired to its peer;
+        nodes that precompute views of their ports update them here."""
+
     def receive(self, pkt: Packet, in_port: int) -> None:
         raise NotImplementedError
 

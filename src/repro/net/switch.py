@@ -114,25 +114,36 @@ class Switch(Node):
         ecmp_mode: str = "flow",
     ) -> None:
         super().__init__(node_id, name, scheduler)
-        if ecmp_mode not in ("flow", "packet"):
-            raise ValueError(f"ecmp_mode must be 'flow' or 'packet', got {ecmp_mode!r}")
         self.dibs = dibs if dibs is not None else DibsConfig.disabled()
         self.rng = rng if rng is not None else random.Random(stable_hash(name))
-        self.ecmp_mode = ecmp_mode
+        self.ecmp_mode = ecmp_mode  # validated; sets the _flow_ecmp flag
         self._spray_counter = 0
-        # _fib_full is the installed (fault-free) table; _fib is the active
-        # view the forwarding hot path reads.  They are the same object
-        # while every port is up; on a fault transition refresh_fault_state
-        # rebuilds _fib with down ports filtered out, so the per-packet
-        # path never pays a liveness check.
-        self._fib_full: dict[int, list[int]] = {}
-        self._fib: dict[int, list[int]] = {}
-        # Memoized flow-level ECMP picks: (dst, flow_id) -> port index.
+        # The forwarding table, resolved to Port objects (see
+        # install_routes): _routes_full is the installed (fault-free)
+        # table; _routes is the active view the forwarding hot path reads.
+        # They are the same object while every port is up; on a fault
+        # transition refresh_fault_state rebuilds _routes with down ports
+        # filtered out, so the per-packet path never pays a liveness
+        # check.  Next-hop lists may be shared between destinations.
+        self._routes_full: dict[int, list[Port]] = {}
+        self._routes: dict[int, list[Port]] = {}
+        # _routes split for the hot path: the sole port of single-path
+        # destinations, and the next-hop lists of ECMP ones.  A
+        # destination in neither is unroutable.
+        self._single: dict[int, Port] = {}
+        self._multi: dict[int, list[Port]] = {}
+        # The public index-list view of _routes (the ``fib`` property),
+        # derived on first read after each change.
+        self._fib_view: Optional[dict[int, list[int]]] = None
+        # Memoized flow-level ECMP picks: (dst, flow_id) -> port.
         # stable_hash re-encodes strings per call, which dominated the
         # forwarding hot path; the hash is deterministic per (flow, switch)
         # so one dict lookup replaces it.  Keyed by dst too because ACKs
         # reuse the data packets' flow_id in the reverse direction.
-        self._ecmp_cache: dict[tuple[int, int], int] = {}
+        self._ecmp_cache: dict[tuple[int, int], Port] = {}
+        # Connected switch-facing ports in port order: the universe of
+        # detour_candidates (extended by port_wired).
+        self._fabric_ports: list[Port] = []
         self.failed = False  # crashed switch (repro.faults SwitchFail)
         self.hop_limit = DEFAULT_HOP_LIMIT
         self.counters = SwitchCounters()
@@ -146,8 +157,26 @@ class Switch(Node):
         self.on_drop: Optional[Callable[[float, "Switch", Packet, str], None]] = None
 
     # ------------------------------------------------------------------
-    # DIBS enable/disable (runtime controller actuator)
+    # transition-maintained views (decided once, not per packet)
     # ------------------------------------------------------------------
+    @property
+    def ecmp_mode(self) -> str:
+        """``"flow"`` (flow-hash ECMP) or ``"packet"`` (spraying)."""
+        return "flow" if self._flow_ecmp else "packet"
+
+    @ecmp_mode.setter
+    def ecmp_mode(self, mode: str) -> None:
+        if mode not in ("flow", "packet"):
+            raise ValueError(f"ecmp_mode must be 'flow' or 'packet', got {mode!r}")
+        self._flow_ecmp = mode == "flow"
+
+    def port_wired(self, port: Port) -> None:
+        if not port.peer_is_host:
+            fabric = self._fabric_ports
+            fabric.append(port)
+            if len(fabric) > 1 and fabric[-2].index > port.index:
+                fabric.sort(key=lambda p: p.index)  # keep port order
+
     def _recompute_detour_fastpath(self) -> None:
         # Hot-path specialization: every shipped policy except the
         # probabilistic one inherits the base trigger — "is the desired
@@ -180,19 +209,46 @@ class Switch(Node):
     # ------------------------------------------------------------------
     @property
     def fib(self) -> dict[int, list[int]]:
-        return self._fib
+        """The active forwarding table as ``dst -> [port index, ...]``.
+
+        A view derived from the resolved routes; assigning a table of
+        port indices installs it (see :meth:`install_fib`).
+        """
+        view = self._fib_view
+        if view is None:
+            view = self._fib_view = {
+                dst: [port.index for port in hops] for dst, hops in self._routes.items()
+            }
+        return view
 
     @fib.setter
     def fib(self, table: dict[int, list[int]]) -> None:
         self.install_fib(table)
 
     def install_fib(self, table: dict[int, list[int]]) -> None:
-        """Install a forwarding table, invalidating memoized ECMP picks."""
-        self._fib_full = table
+        """Install a forwarding table of port indices, invalidating
+        memoized ECMP picks.  Each distinct next-hop list is resolved to
+        ports once, so destinations sharing a list share its ports."""
+        ports = self.ports
+        resolved: dict[int, list[Port]] = {}
+        routes = {}
+        for dst, hops in table.items():
+            found = resolved.get(id(hops))
+            if found is None:
+                found = resolved[id(hops)] = [ports[index] for index in hops]
+            routes[dst] = found
+        self.install_routes(routes)
+
+    def install_routes(self, routes: dict[int, list[Port]]) -> None:
+        """Install a forwarding table already resolved to this switch's
+        ports (``dst -> [port, ...]``; lists may be shared between
+        destinations and are never mutated), invalidating memoized ECMP
+        picks."""
+        self._routes_full = routes
         self.refresh_fault_state()
 
     def refresh_fault_state(self) -> None:
-        """Recompute the active FIB after a port up/down transition.
+        """Recompute the active routes after a port up/down transition.
 
         Down ports are removed from every ECMP next-hop set (a destination
         whose every next hop is down becomes unroutable and its packets
@@ -201,14 +257,29 @@ class Switch(Node):
         DIBS detour mask needs no rebuild: :meth:`detour_candidates`
         checks ``port.up`` directly.
         """
-        down = {port.index for port in self.ports if not port.up}
-        if not down:
-            self._fib = self._fib_full
-        else:
-            self._fib = {
-                dst: [hop for hop in hops if hop not in down]
-                for dst, hops in self._fib_full.items()
-            }
+        routes = self._routes_full
+        for port in self.ports:
+            if not port.up:
+                # Filter each distinct next-hop list once; destinations
+                # that shared a list share the filtered one.
+                live: dict[int, list[Port]] = {}
+                filtered = {}
+                for dst, hops in routes.items():
+                    kept = live.get(id(hops))
+                    if kept is None:
+                        kept = live[id(hops)] = [hop for hop in hops if hop.up]
+                    filtered[dst] = kept
+                routes = filtered
+                break
+        self._routes = routes
+        single = self._single = {}
+        multi = self._multi = {}
+        for dst, hops in routes.items():
+            if len(hops) == 1:
+                single[dst] = hops[0]
+            elif hops:
+                multi[dst] = hops
+        self._fib_view = None
         self._ecmp_cache.clear()
 
     # ------------------------------------------------------------------
@@ -239,35 +310,30 @@ class Switch(Node):
             self._drop(pkt, DROP_TTL)
             return
 
-        next_hops = self._fib.get(pkt.dst)
-        if not next_hops:
-            self._drop(pkt, DROP_NO_ROUTE)
-            return
-
-        if len(next_hops) == 1:
-            out_index = next_hops[0]
-        elif self.ecmp_mode == "flow":
-            cache_key = (pkt.dst, pkt.flow_id)
-            out_index = self._ecmp_cache.get(cache_key)
-            if out_index is None:
-                out_index = next_hops[stable_hash(pkt.flow_id, self.node_id) % len(next_hops)]
-                self._ecmp_cache[cache_key] = out_index
-        else:
-            # Packet-level ECMP ("packet spraying", §6): round-robin over
-            # equal-cost ports.  Spreads load finer than flow hashing but
-            # cannot help last-hop incast, which is the paper's point.
-            self._spray_counter += 1
-            out_index = next_hops[self._spray_counter % len(next_hops)]
-        desired = self.ports[out_index]
+        desired = self._single.get(pkt.dst)
+        if desired is None:
+            next_hops = self._multi.get(pkt.dst)
+            if next_hops is None:
+                self._drop(pkt, DROP_NO_ROUTE)
+                return
+            if self._flow_ecmp:
+                cache_key = (pkt.dst, pkt.flow_id)
+                desired = self._ecmp_cache.get(cache_key)
+                if desired is None:
+                    desired = next_hops[stable_hash(pkt.flow_id, self.node_id) % len(next_hops)]
+                    self._ecmp_cache[cache_key] = desired
+            else:
+                # Packet-level ECMP ("packet spraying", §6): round-robin
+                # over equal-cost ports.  Spreads load finer than flow
+                # hashing but cannot help last-hop incast, which is the
+                # paper's point.
+                self._spray_counter += 1
+                desired = next_hops[self._spray_counter % len(next_hops)]
 
         if self._plain_detour:
             # Inlined default trigger (== desired.queue.is_full()).
             q = desired.queue
-            if desired._fast_q:
-                full = len(q._q) >= q.capacity_pkts
-            else:
-                full = q.is_full()
-            if full:
+            if len(q._q) >= q.capacity_pkts if desired._fast_q else q.is_full():
                 self._detour(pkt, desired, in_port)
                 return
         elif (
@@ -293,8 +359,8 @@ class Switch(Node):
         loses the dead neighborhood."""
         allow_ingress = self.dibs.allow_detour_to_ingress
         candidates = []
-        for port in self.ports:
-            if port is desired or port.peer_node is None or port.peer_is_host or not port.up:
+        for port in self._fabric_ports:
+            if port is desired or not port.up:
                 continue
             if not allow_ingress and port.index == in_port:
                 continue

@@ -26,11 +26,15 @@ countdown decrement.  ``sample_stride=1`` selects the exact loop — one
 clock read per event, each event charged from the previous event's end —
 when per-event precision is worth ~10-15% overhead.
 
-Elided tx-done events (see :mod:`repro.net.link`) never reach a run loop;
-the port settles them by calling :meth:`SchedulerProfiler.record` with a
-truthful zero wall time, so category event counts still sum to the
-engine-independent logical ``events_processed`` while the wall split
-reflects only work that actually happened.
+Elided tx-done events (see :mod:`repro.net.link`) never reach a run loop,
+and settling one costs the port nothing beyond the scheduler's
+``_events_elided`` counter.  The profiler charges them in bulk when it is
+read: every elided tx-done settled since :meth:`SchedulerProfiler.install`
+counts one ``link.tx`` event with a truthful zero wall time, so category
+event counts still sum to the engine-independent logical
+``events_processed`` — including tx-dones settled after the run loop
+exits (``Network.run``'s settle sweep, a ``Port.busy`` read) — while the
+wall split reflects only work that actually happened.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ from __future__ import annotations
 from typing import Callable
 
 __all__ = ["SchedulerProfiler", "profile_category", "merge_profiles"]
+
+# The category of an elided tx-done: the event it stands for is
+# Port._tx_next, which the rules below put in link.tx.
+_ELIDED_CATEGORY = "link.tx"
 
 # Ordered (module prefix, qualname fragment, category) rules; first match
 # wins.  ``None`` fragments match any qualname.
@@ -70,13 +78,15 @@ def profile_category(fn: Callable) -> str:
 class SchedulerProfiler:
     """Accumulates per-category event counts and wall seconds.
 
-    Install by assigning to ``scheduler.profiler`` (or via
-    :meth:`install`); the scheduler's instrumented run loop attributes
-    into the slot memo directly (see module docstring for the sampled
-    versus exact trade-off selected by ``sample_stride``).
+    Install with :meth:`install` (a profiler assigned to
+    ``scheduler.profiler`` directly is bound by the scheduler's next
+    :meth:`~repro.sim.engine.Scheduler.run`); the scheduler's
+    instrumented run loop attributes into the slot memo directly (see
+    module docstring for the sampled versus exact trade-off selected by
+    ``sample_stride``).
     """
 
-    __slots__ = ("_slots", "_by_fn", "sample_stride")
+    __slots__ = ("_slots", "_by_fn", "sample_stride", "_scheduler", "_elided_base")
 
     def __init__(self, sample_stride: int = 16) -> None:
         if sample_stride < 1:
@@ -84,41 +94,52 @@ class SchedulerProfiler:
         # 1 = exact per-event timing; >= 2 = one clock read per jittered
         # window of [stride, 2*stride) events, charged to the closing event.
         self.sample_stride = sample_stride
-        # category -> [events, wall_seconds]
+        # category -> [events, wall_seconds] of dispatched events
         self._slots: dict[str, list] = {}
         # function object -> its category's slot (memoized hot path)
         self._by_fn: dict[object, list] = {}
+        # The profiled scheduler, and its elided-event count at install:
+        # elided tx-dones settled since then are charged when read.
+        self._scheduler = None
+        self._elided_base = 0
 
     def install(self, scheduler) -> "SchedulerProfiler":
         scheduler.profiler = self
+        self.bind(scheduler)
         return self
+
+    def bind(self, scheduler) -> None:
+        """Start charging ``scheduler``'s elided tx-dones (idempotent)."""
+        if self._scheduler is not scheduler:
+            self._scheduler = scheduler
+            self._elided_base = scheduler._events_elided
 
     # ------------------------------------------------------------------
     def _slot_for(self, key: object, fn: Callable) -> list:
         """Miss path of the attribution memo: categorize ``fn`` and cache
         its slot under ``key`` (the underlying function object).  The hot
         path — one ``_by_fn`` lookup plus two slot increments — is inlined
-        into :meth:`repro.sim.engine.Scheduler._run_profiled`, so changes
-        to the memo layout must be mirrored there."""
+        into the scheduler's profiled run loops, so changes to the memo
+        layout must be mirrored there."""
         category = profile_category(fn)
         slot = self._slots.setdefault(category, [0, 0.0])
         self._by_fn[key] = slot
         return slot
 
-    def record(self, fn: Callable, elapsed: float) -> None:
-        # Bound methods are fresh objects per schedule; the underlying
-        # function object is the stable memoization key.
-        key = getattr(fn, "__func__", fn)
-        slot = self._by_fn.get(key)
-        if slot is None:
-            slot = self._slot_for(key, fn)
-        slot[0] += 1
-        slot[1] += elapsed
+    def _totals(self) -> dict[str, list]:
+        """``category -> [events, wall_s]``: the dispatched events plus
+        the elided tx-dones settled since install (zero wall time)."""
+        totals = {category: list(slot) for category, slot in self._slots.items()}
+        sched = self._scheduler
+        elided = 0 if sched is None else sched._events_elided - self._elided_base
+        if elided:
+            totals.setdefault(_ELIDED_CATEGORY, [0, 0.0])[0] += elided
+        return totals
 
     # ------------------------------------------------------------------
     @property
     def total_events(self) -> int:
-        return sum(slot[0] for slot in self._slots.values())
+        return sum(slot[0] for slot in self._totals().values())
 
     @property
     def total_wall_s(self) -> float:
@@ -126,13 +147,14 @@ class SchedulerProfiler:
 
     def as_dict(self) -> dict:
         """Plain-builtin payload carried on ``ExperimentResult.profile``."""
+        totals = self._totals()
         return {
             "categories": {
                 category: {"events": slot[0], "wall_s": slot[1]}
-                for category, slot in sorted(self._slots.items())
+                for category, slot in sorted(totals.items())
             },
-            "total_events": self.total_events,
-            "total_wall_s": self.total_wall_s,
+            "total_events": sum(slot[0] for slot in totals.values()),
+            "total_wall_s": sum(slot[1] for slot in totals.values()),
             "sample_stride": self.sample_stride,
         }
 

@@ -160,8 +160,10 @@ class SpanRecorder:
         self.unfinished = 0
         self._threshold = int(sample_rate * _HASH_SPACE)
         # on_send hashes (seed, SPAN_STREAM, flow, seq) per originated
-        # packet; the constant prefix is folded once here.
+        # packet; the constant prefix is folded once here, and the
+        # (seed, SPAN_STREAM, flow) prefix once per flow.
         self._hash_state = stable_hash_state(seed, SPAN_STREAM)
+        self._flow_states: dict[int, int] = {}
         self._live: dict[int, PacketSpan] = {}
         self._next_idx = 0
         self._attached = False
@@ -203,7 +205,12 @@ class SpanRecorder:
         DATA transmissions by the pure (seed, flow, seq) hash."""
         if pkt.kind != DATA or pkt.span is not None:
             return
-        if stable_hash_from(self._hash_state, pkt.flow_id, pkt.seq) >= self._threshold:
+        flow_state = self._flow_states.get(pkt.flow_id)
+        if flow_state is None:
+            flow_state = self._flow_states[pkt.flow_id] = stable_hash_state(
+                pkt.flow_id, state=self._hash_state
+            )
+        if stable_hash_from(flow_state, pkt.seq) >= self._threshold:
             return
         idx = self._next_idx
         self._next_idx = idx + 1

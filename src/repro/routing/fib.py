@@ -25,6 +25,9 @@ def compute_fibs(topo: Topology) -> dict[str, dict[str, list[str]]]:
 
     Every entry lists *all* shortest-path next hops, so ECMP fan-out falls
     out for free.  Hosts get no FIB (they only talk to their edge switch).
+    The destinations of one BFS group share one next-hop list per switch
+    (the same list object, not copies), so consumers can resolve each
+    distinct list once; treat the lists as read-only.
 
     Destinations are grouped by the root of their BFS.  A host whose only
     neighbour is a switch ``s`` is reached through ``s`` alone, so its
@@ -45,7 +48,7 @@ def compute_fibs(topo: Topology) -> dict[str, dict[str, list[str]]]:
         if shared is None:
             shared = groups[root] = _next_hops_towards(adj, topo.switches, switch_names, root)
         for switch, next_hops in shared.items():
-            fibs[switch][dst] = list(next_hops)
+            fibs[switch][dst] = next_hops
         if root != dst:
             fibs[root][dst] = [nbr for nbr in adj[root] if nbr == dst]
     return fibs

@@ -332,12 +332,15 @@ class Scheduler:
             raise SimulationError("scheduler is already running (re-entrant run())")
         self._running = True
         try:
-            if self.profiler is None:
+            profiler = self.profiler
+            if profiler is None:
                 processed = self._run_plain(until, max_events)
-            elif self.profiler.sample_stride > 1:
-                processed = self._run_profiled_sampled(until, max_events)
             else:
-                processed = self._run_profiled(until, max_events)
+                profiler.bind(self)  # charges elided tx-dones (repro.obs.profiler)
+                if profiler.sample_stride > 1:
+                    processed = self._run_profiled_sampled(until, max_events)
+                else:
+                    processed = self._run_profiled(until, max_events)
         finally:
             self._running = False
         if max_events is None or processed < max_events:
@@ -496,11 +499,11 @@ class Scheduler:
         accumulating into their categories and the category totals sum to
         the loop's wall time.
 
-        The attribution is inlined rather than calling
-        ``profiler.record`` — at sub-microsecond event granularity the
-        call overhead alone is a measurable fraction of the budget.  The
-        memo keys by the underlying function (``__func__``) because bound
-        methods are fresh objects per schedule; the slow path
+        The attribution is inlined rather than a profiler method call —
+        at sub-microsecond event granularity the call overhead alone is a
+        measurable fraction of the budget.  The memo keys by the
+        underlying function (``__func__``) because bound methods are
+        usually fresh objects per schedule; the slow path
         (:meth:`SchedulerProfiler._slot_for`) only runs once per distinct
         callback.
         """

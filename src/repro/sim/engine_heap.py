@@ -197,12 +197,15 @@ class HeapScheduler:
             raise SimulationError("scheduler is already running (re-entrant run())")
         self._running = True
         try:
-            if self.profiler is None:
+            profiler = self.profiler
+            if profiler is None:
                 processed = self._run_plain(until, max_events)
-            elif self.profiler.sample_stride > 1:
-                processed = self._run_profiled_sampled(until, max_events)
             else:
-                processed = self._run_profiled(until, max_events)
+                profiler.bind(self)  # charges elided tx-dones (repro.obs.profiler)
+                if profiler.sample_stride > 1:
+                    processed = self._run_profiled_sampled(until, max_events)
+                else:
+                    processed = self._run_profiled(until, max_events)
         finally:
             self._running = False
         if max_events is None or processed < max_events:

@@ -29,17 +29,20 @@ def stable_hash(*parts: int | str) -> int:
     return h & 0x7FFFFFFF
 
 
-def stable_hash_state(*parts: int | str) -> int:
-    """The running CRC after ``parts``, for :func:`stable_hash_from`: a
-    caller hashing many tuples with a constant prefix folds it once."""
-    h = 0
+def stable_hash_state(*parts: int | str, state: int = 0) -> int:
+    """The running CRC after ``parts`` (continuing from ``state``, another
+    running CRC), for :func:`stable_hash_from`: a caller hashing many
+    tuples with a constant prefix folds it once."""
+    h = state
     for part in parts:
         h = zlib.crc32(str(part).encode("utf-8"), h)
     return h
 
 
 def stable_hash_from(state: int, *parts: int | str) -> int:
-    """``stable_hash_from(stable_hash_state(*a), *b) == stable_hash(*a, *b)``."""
+    """``stable_hash_from(stable_hash_state(*a), *b) == stable_hash(*a, *b)``,
+    and ``stable_hash_state(*b, state=stable_hash_state(*a))`` folds
+    ``(*a, *b)``."""
     h = state
     for part in parts:
         h = zlib.crc32(str(part).encode("utf-8"), h)

@@ -196,6 +196,13 @@ class TestHashProperties:
     def test_stable_hash_from_folded_prefix_matches(self, prefix, rest):
         assert stable_hash_from(stable_hash_state(*prefix), *rest) == stable_hash(*prefix, *rest)
 
+    @given(st.lists(st.one_of(st.integers(0, 2**40), st.text(max_size=8)), max_size=4),
+           st.lists(st.one_of(st.integers(0, 2**40), st.text(max_size=8)), max_size=4),
+           st.lists(st.one_of(st.integers(0, 2**40), st.text(max_size=8)), max_size=4))
+    def test_stable_hash_state_continues_a_folded_prefix(self, first, second, rest):
+        state = stable_hash_state(*second, state=stable_hash_state(*first))
+        assert stable_hash_from(state, *rest) == stable_hash(*first, *second, *rest)
+
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=5))
     def test_stable_hash_in_range(self, parts):
         h = stable_hash(*parts)

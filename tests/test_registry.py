@@ -35,12 +35,13 @@ class TestRegistryConsistency:
             p.stem
             for p in benchmarks_dir().glob("bench_*.py")
             # Substrate-health benches (engine throughput/speed gates,
-            # observability overhead gates, job-server service levels)
-            # are not paper artifacts.
+            # observability overhead gates, job-server service levels,
+            # the per-hop bytecode budget) are not paper artifacts.
             if p.stem
             not in {
                 "bench_engine_throughput",
                 "bench_engine_speed",
+                "bench_hop_budget",
                 "bench_obs_overhead",
                 "bench_server",
             }

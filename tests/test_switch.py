@@ -147,7 +147,8 @@ class TestEcmp:
         for _ in range(5):
             sw.receive(data_pkt(flow=7), in_port=0)
         expected = sw.fib[0][stable_hash(7, sw.node_id) % 2]
-        assert sw._ecmp_cache[(0, 7)] == expected
+        # The memo holds the resolved port, not its index.
+        assert sw._ecmp_cache[(0, 7)] is sw.ports[expected]
 
     def test_fib_install_invalidates_ecmp_cache(self):
         sched, sw, sinks = self.make_two_path_switch()
